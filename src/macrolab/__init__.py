@@ -4,8 +4,8 @@ from .entropy import relative_entropy, von_neumann
 from .maxent import (CanonicalState, InfeasibleTargetError, ObservableSet,
                      canonical_from_lambda, covariance, fit_maxent,
                      state_derivatives)
-from .hypotest import NPTestResult, np_optimal_test, prob_eps_tensor, \
-    sampled_gamma_bound, stein_rate_series
+from .hypotest import (NPTestResult, np_optimal_test, prob_eps_tensor,
+                       stein_rate_series)
 from .coarsegrain import (KGProjector, canonical_coarse_grain, epsilon_choices,
                           gamma_n, kg_apply_observable, kg_apply_state,
                           kg_build, positivity_diagnostic,
@@ -19,6 +19,5 @@ __all__ = [
     "gamma_n", "kg_apply_observable", "kg_apply_state", "kg_build",
     "np_optimal_test", "positivity_diagnostic", "prob_eps_tensor",
     "product_coarse_grain", "relative_entropy", "run_experiment",
-    "sampled_gamma_bound", "state_derivatives", "stein_rate_series",
-    "von_neumann",
+    "state_derivatives", "stein_rate_series", "von_neumann",
 ]

@@ -16,9 +16,13 @@ SUPPORT_LEAK_TOL = 1e-10
 
 
 def von_neumann(rho: np.ndarray) -> float:
-    """-sum w ln w over the spectrum, with 0 ln 0 = 0."""
+    """-sum w ln w over the spectrum, with 0 ln 0 = 0.
+
+    Eigenvalues at or below LOG_SUPPORT_RTOL relative to the largest one are
+    kernel, as in op_log_on_support.
+    """
     w = np.linalg.eigvalsh(rho)
-    w = w[w >= 1e-15]
+    w = w[w > LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)]
     return float(-np.sum(w * np.log(w)))
 
 

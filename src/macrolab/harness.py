@@ -22,7 +22,7 @@ from .hypotest import stein_rate_series
 from .maxent import InfeasibleTargetError, ObservableSet
 from .operators import (apply_channel, partial_trace, random_density,
                         random_kraus, random_observables, random_test_operator,
-                        random_unitary, tensor_power, trace_distance)
+                        random_unitary, tensor_power)
 
 EXPERIMENTS = ("process", "monotonicity", "product", "lindblad", "stein",
                "kg-checks")

@@ -41,24 +41,6 @@ def check_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> None:
         raise ValueError(f"operator is not Hermitian: max asymmetry {asym:.3e}")
 
 
-def check_density(rho: np.ndarray) -> None:
-    check_hermitian(rho)
-    tr = complex(np.trace(rho)).real
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1")
-    wmin = float(np.linalg.eigvalsh(hermitian_part(rho))[0])
-    if wmin < -PSD_ATOL:
-        raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
-
-
-def check_test_operator(gamma: np.ndarray) -> None:
-    check_hermitian(gamma)
-    w = np.linalg.eigvalsh(hermitian_part(gamma))
-    if w[0] < -PSD_ATOL or w[-1] > 1 + PSD_ATOL:
-        raise ValueError(f"test operator spectrum [{w[0]:.3e}, {w[-1]:.3e}] "
-                         "not contained in [0, 1]")
-
-
 def eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 

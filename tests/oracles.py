@@ -1,0 +1,66 @@
+"""Independent oracles for the Neyman-Pearson tests, used by the test suite."""
+
+import math
+
+import numpy as np
+
+from macrolab.hypotest import np_optimal_test
+from macrolab.operators import (eig, hermitian_part, random_test_operator,
+                                tensor_power)
+
+
+def classical_np_oracle(p, q, eps):
+    """Fractional likelihood-ratio test on commuting (classical) instances."""
+    order = sorted(range(len(p)),
+                   key=lambda i: -(math.inf if q[i] == 0 else p[i] / q[i]))
+    power = 0.0
+    cost = 0.0
+    for i in order:
+        if power + p[i] <= eps:
+            power += p[i]
+            cost += q[i]
+        else:
+            frac = (eps - power) / p[i] if p[i] > 0 else 0.0
+            cost += frac * q[i]
+            power = eps
+            break
+    return cost
+
+
+def type_class_oracle(p, q, n, eps):
+    """Exact NP on n copies of diag(p, 1-p) against diag(q, 1-q).
+
+    The n+1 type classes (j copies of the first outcome) share one
+    likelihood ratio each, so the classical test runs on their masses.
+    """
+    pn = [math.comb(n, j) * p ** j * (1 - p) ** (n - j) for j in range(n + 1)]
+    qn = [math.comb(n, j) * q ** j * (1 - q) ** (n - j) for j in range(n + 1)]
+    return classical_np_oracle(pn, qn, eps)
+
+
+def sampled_gamma_bound(rho: np.ndarray, sigma: np.ndarray, eps: float,
+                        n: int, trials: int, seed: int = 0) -> float:
+    """Best objective over sampled feasible tests; an upper bound on prob.
+
+    Samples random test operators (plus perturbations of the exact minimizer),
+    restores feasibility by blending with the identity, and returns the
+    smallest tr(sigma Gamma) seen.  Independent optimality cross-check.
+    """
+    rho_n = tensor_power(rho, n)
+    sigma_n = tensor_power(sigma, n)
+    dim = rho_n.shape[0]
+    result = np_optimal_test(rho_n, sigma_n, eps)
+    best = math.inf
+    for i in range(trials):
+        gamma = random_test_operator(seed, dim, index=i)
+        if i % 2 == 1:
+            # small feasible perturbation of the exact minimizer
+            pert = 0.05 * (gamma - 0.5 * np.eye(dim))
+            w, v = eig(hermitian_part(result.gamma_op + pert))
+            gamma = hermitian_part((v * np.clip(w, 0.0, 1.0)) @ v.conj().T)
+        power = float(np.trace(rho_n @ gamma).real)
+        if power < eps:
+            alpha = (1.0 - eps) / (1.0 - power) if power < 1.0 else 0.0
+            gamma = hermitian_part(alpha * gamma + (1 - alpha) * np.eye(dim))
+        best = min(best, float(np.trace(sigma_n @ gamma).real))
+    return best

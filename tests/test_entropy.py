@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from macrolab.entropy import relative_entropy, von_neumann
-from macrolab.operators import (apply_channel, random_density, random_kraus,
-                                random_unitary, trace_distance)
+from macrolab.operators import (apply_channel, op_log_on_support,
+                                random_density, random_kraus, random_unitary,
+                                trace_distance)
 
 
 class TestVonNeumann:
@@ -19,6 +20,13 @@ class TestVonNeumann:
     def test_binary_entropy(self):
         rho = np.diag([0.9, 0.1]).astype(complex)
         assert abs(von_neumann(rho) - 0.3250830) < 1e-7
+
+    def test_support_matches_log_on_support(self):
+        # one eigenvalue below the relative support cutoff, one exact zero
+        u = random_unitary(3, 4)
+        rho = u @ np.diag([0.6, 0.4 - 1e-13, 1e-13, 0.0]) @ u.conj().T
+        via_log = -np.trace(rho @ op_log_on_support(rho)).real
+        assert abs(von_neumann(rho) - via_log) < 1e-14
 
 
 class TestRelativeEntropy:

@@ -2,35 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import macrolab.hypotest as hypotest
 from macrolab.hypotest import (np_optimal_test, prob_eps_tensor,
-                               sampled_gamma_bound, stein_rate_series)
-from macrolab.operators import (apply_channel, eig, hermitian_part,
-                                random_density, random_kraus)
+                               stein_rate_series)
+from macrolab.operators import (LOG_SUPPORT_RTOL, apply_channel, eig,
+                                hermitian_part, random_density, random_kraus,
+                                random_unitary, tensor_power)
+from oracles import (classical_np_oracle, sampled_gamma_bound,
+                     type_class_oracle)
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 D91 = np.diag([0.9, 0.1]).astype(complex)
 UNIF = np.diag([0.5, 0.5]).astype(complex)
-
-
-def classical_np_oracle(p, q, eps):
-    """Fractional likelihood-ratio test on commuting (classical) instances."""
-    order = sorted(range(len(p)),
-                   key=lambda i: -(math.inf if q[i] == 0 else p[i] / q[i]))
-    power = 0.0
-    cost = 0.0
-    for i in order:
-        if power + p[i] <= eps:
-            power += p[i]
-            cost += q[i]
-        else:
-            frac = (eps - power) / p[i] if p[i] > 0 else 0.0
-            cost += frac * q[i]
-            power = eps
-            break
-    return cost
 
 
 class TestNPOptimalTest:
@@ -98,6 +85,19 @@ class TestNPOptimalTest:
         vals = [g(t) for t in np.linspace(0, 5, 40)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-10
+
+    def test_large_threshold_terminates(self):
+        # threshold t = 5e4, where an absolute bisection width never closes
+        sigma = np.diag([1 - 1e-5, 1e-5]).astype(complex)
+        r = np_optimal_test(UNIF, sigma, 0.5)
+        expected = classical_np_oracle([0.5, 0.5], [1 - 1e-5, 1e-5], 0.5)
+        assert abs(r.prob - expected) <= 1e-9 * expected
+
+    def test_search_cap_raises_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(hypotest, "MAX_SEARCH_STEPS", 5)
+        with pytest.raises(RuntimeError, match=r"t in \[.*width.*eps 0.5"):
+            np_optimal_test(UNIF, np.diag([1 - 1e-5, 1e-5]).astype(complex),
+                            0.5)
 
     def test_data_processing(self):
         for seed in range(10):
@@ -179,3 +179,105 @@ class TestSampledGammaBound:
         prob = np_optimal_test(rho, sigma, 0.5).prob
         bound = sampled_gamma_bound(rho, sigma, 0.5, 1, trials=500, seed=13)
         assert bound - prob >= -1e-9
+
+
+def diag_pair(p, q):
+    return (np.diag([p, 1 - p]).astype(complex),
+            np.diag([q, 1 - q]).astype(complex))
+
+
+def rel_err(value, expected):
+    return abs(value - expected) / abs(expected)
+
+
+class TestSchurWeylBlocks:
+    """The qubit block route against independent oracles."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_matches_dense_non_commuting(self, seed):
+        rho = random_density(seed, 2)
+        sigma = random_density(seed, 2, index=1)
+        for n, eps_values in ((2, (0.2, 0.5, 0.9)), (5, (0.2, 0.5, 0.9)),
+                              (7, (0.5,))):
+            rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
+            for eps in eps_values:
+                dense = np_optimal_test(rho_n, sigma_n, eps).prob
+                assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
+                               dense) <= 1e-10
+
+    @pytest.mark.parametrize("p, q", [(0.9, 0.5), (0.6, 0.45), (0.3, 0.5),
+                                      (0.9, 0.1)])
+    def test_commuting_matches_type_classes(self, p, q):
+        rho, sigma = diag_pair(p, q)
+        for n in (1, 4, 17, 40):
+            for eps in (0.2, 0.5, 0.9):
+                assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
+                               type_class_oracle(p, q, n, eps)) <= 1e-9
+
+    def test_commuting_matches_type_classes_n120(self):
+        rho, sigma = diag_pair(0.9, 0.5)
+        assert rel_err(prob_eps_tensor(rho, sigma, 0.5, 120),
+                       type_class_oracle(0.9, 0.5, 120, 0.5)) <= 1e-9
+
+    def test_rotated_commuting_pair(self):
+        # a shared eigenbasis off the computational one
+        u = random_unitary(3, 2)
+        rho = u @ np.diag([0.6, 0.4]) @ u.conj().T
+        sigma = u @ np.diag([0.45, 0.55]) @ u.conj().T
+        for n in (9, 60):
+            assert rel_err(prob_eps_tensor(rho, sigma, 0.5, n),
+                           type_class_oracle(0.6, 0.45, n, 0.5)) <= 1e-9
+
+    def test_threshold_beyond_float_range(self):
+        # only the all-first type meets eps; its likelihood ratio is 2e310
+        rho, sigma = diag_pair(0.5, 1e-11)
+        with pytest.raises(RuntimeError, match="float range.*eps"):
+            prob_eps_tensor(rho, sigma, 0.5 ** 29, 29)
+
+    def test_eps_one_full_rank(self):
+        # power 1 needs the identity test; the threshold is 1e-10, far below 1
+        rho = np.diag([0.005, 0.995]).astype(complex)
+        assert abs(prob_eps_tensor(rho, UNIF, 1.0, 5) - 1.0) < 1e-12
+
+    def test_equal_states_n50(self):
+        rho = random_density(5, 2)
+        assert abs(prob_eps_tensor(rho, rho, 0.37, 50) - 0.37) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 12.0), st.floats(0.0, 12.0), st.integers(1, 24),
+           st.floats(0.01, 0.99))
+    def test_extreme_commuting_spectra(self, p_exp, q_exp, n, eps):
+        # smallest eigenvalues from 1 down to 1e-12; the search terminates by
+        # its step cap whatever the threshold, so no wall-clock bound is set
+        p, q = 10.0 ** -p_exp / 2, 10.0 ** -q_exp / 2
+        # thresholds are products of n per-copy likelihood ratios; keep them
+        # inside the float range (test_threshold_beyond_float_range)
+        assume(n * math.log(max(p / q, (1 - p) / (1 - q))) < 700)
+        rho, sigma = diag_pair(p, q)
+        prob = prob_eps_tensor(rho, sigma, eps, n)
+        # sigma's support is decided on one copy: an eigenvalue below the
+        # relative cutoff is 0, which makes prob 0 when rho's mass there
+        # meets eps
+        if q <= LOG_SUPPORT_RTOL * (1 - q):
+            q = 0.0
+        expected = type_class_oracle(p, q, n, eps)
+        assert abs(prob - expected) <= 1e-9 * expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 12.0), st.floats(0.0, 12.0), st.integers(0, 10**6),
+           st.integers(1, 5), st.floats(0.01, 0.99))
+    def test_extreme_spectra_match_dense(self, p_exp, q_exp, seed, n, eps):
+        q = 10.0 ** -q_exp / 2
+        # the dense test applies the support cutoff to the n-copy sigma, the
+        # block route to one copy; they agree where no n-copy eigenvalue is cut
+        assume((q / (1 - q)) ** n > LOG_SUPPORT_RTOL)
+        rho, sigma = diag_pair(10.0 ** -p_exp / 2, q)
+        u = random_unitary(seed, 2)
+        sigma = u @ sigma @ u.conj().T
+        dense = np_optimal_test(tensor_power(rho, n), tensor_power(sigma, n),
+                                eps).prob
+        block = prob_eps_tensor(rho, sigma, eps, n)
+        assert 0.0 <= block <= eps + 1e-12
+        # eigenvectors in the computational basis carry absolute rounding, so
+        # probabilities far below 1 agree to an absolute floor, not relatively
+        assert abs(block - dense) <= 1e-9 * dense + 1e-14
