@@ -31,11 +31,8 @@ def report(criterion, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def process_run():
-    start = time.time()
-    result = run_experiment(ExperimentConfig(
-        experiment="process", trials=1000, dim=4, m=2, seed=42))
-    return result, time.time() - start
+def process_run(experiment_run):
+    return experiment_run("process", trials=1000, dim=4, m=2, seed=42)
 
 
 def test_criterion_1_extended_second_law(process_run):
@@ -53,26 +50,23 @@ def test_criterion_2_second_law_specialization(process_run):
     report(2, worst >= -1e-9, f"min uniform-reference slack {worst:.3e}")
 
 
-def test_criterion_3_monotonicity():
-    result = run_experiment(ExperimentConfig(
-        experiment="monotonicity", trials=1000, seed=42))
+def test_criterion_3_monotonicity(experiment_run):
+    result, _ = experiment_run("monotonicity", trials=1000, seed=42)
     ok = (result.pass_fraction == 1.0 and result.min_slack >= -1e-9
           and {r.dim for r in result.records} == {2, 3, 4})
     report(3, ok, f"pass fraction {result.pass_fraction}, "
                   f"min slack {result.min_slack:.3e}")
 
 
-def test_criterion_4_product_inequalities():
-    result = run_experiment(ExperimentConfig(
-        experiment="product", trials=1000, seed=42))
+def test_criterion_4_product_inequalities(experiment_run):
+    result, _ = experiment_run("product", trials=1000, seed=42)
     ok = result.pass_fraction == 1.0 and result.extra_pass
     report(4, ok, f"product pass fraction {result.pass_fraction}, "
                   f"marginal bound holds: {result.extra_pass}")
 
 
-def test_criterion_5_lindblad():
-    result = run_experiment(ExperimentConfig(
-        experiment="lindblad", trials=1000, seed=42))
+def test_criterion_5_lindblad(experiment_run):
+    result, _ = experiment_run("lindblad", trials=1000, seed=42)
     report(5, result.pass_fraction == 1.0,
            f"pass fraction {result.pass_fraction}")
 
@@ -123,9 +117,8 @@ def test_criterion_8_stein_rate_trend():
                   f"{elapsed:.1f}s")
 
 
-def test_criterion_9_kg_battery():
-    result = run_experiment(ExperimentConfig(
-        experiment="kg-checks", trials=100, seed=42, n_max=3))
+def test_criterion_9_kg_battery(experiment_run):
+    result, _ = experiment_run("kg-checks", trials=100, seed=42, n_max=3)
     has_report = all("violation_fraction" in row and "min_eig_PGamma" in row
                      for row in result.csv_rows)
     report(9, result.all_pass and has_report,
