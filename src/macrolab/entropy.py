@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .operators import LOG_SUPPORT_RTOL, eig, op_log_on_support
+from .operators import LOG_SUPPORT_RTOL, PSD_ATOL, eig, op_log_on_support
 
 SUPPORT_LEAK_TOL = 1e-10
 
@@ -27,13 +27,20 @@ def von_neumann(rho: np.ndarray) -> float:
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """tr(rho ln rho - rho ln sigma); math.inf on support violation."""
+    """tr(rho ln rho - rho ln sigma); math.inf on support violation.
+
+    sigma is eigensolved once: with rho's weight p_j = <v_j|rho|v_j> on each
+    eigenvector, the kernel leak is sum p_j over the kernel and
+    tr(rho ln sigma) = sum p_j ln w_j over the support.
+    """
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     w, v = eig(sigma)
-    cut = LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)
-    kernel = v[:, w <= cut]
-    if kernel.shape[1] and np.trace(kernel.conj().T @ rho @ kernel).real > SUPPORT_LEAK_TOL:
+    support = w > LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)
+    p = np.sum(v.conj() * (rho @ v), axis=0).real
+    if np.sum(p[~support]) > SUPPORT_LEAK_TOL:
         return math.inf
-    val = np.trace(rho @ (op_log_on_support(rho) - op_log_on_support(sigma))).real
-    return float(val)
+    rho_log_rho = np.einsum("ij,ji->", rho, op_log_on_support(rho)).real
+    if w[0] < -PSD_ATOL:
+        raise ValueError(f"log of a non-PSD operator (eigenvalue {w[0]:.3e})")
+    return float(rho_log_rho - np.sum(p[support] * np.log(w[support])))

@@ -269,10 +269,8 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
             sigma = random_density(seed, d, index=10 * d + m + 1)
             kg_rho = kg_build(obs, obs.expectations(rho))
             kg_sigma = kg_build(obs, obs.expectations(sigma))
-            mu_rho_state = kg_rho.mu
-            gamma_cap = max(gamma_n(kg_sigma, mu_rho_state, n)
-                            for n in n_range)
-            eps, eps_prime = epsilon_choices(gamma_cap)
+            gammas = {n: gamma_n(kg_sigma, kg_rho.mu, n) for n in n_range}
+            eps, eps_prime = epsilon_choices(max(gammas.values()))
             for n in n_range:
                 dim_n = d ** n
                 gamma_op = random_test_operator(seed, dim_n, index=100 + n)
@@ -300,7 +298,7 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                     ok &= abs(np.trace(gbar @ lifted)
                               - np.trace(gbar @ tau)) < tol
                 # pairing-constraint slack for the eps/eps' choices
-                mu_rho_n = tensor_power(mu_rho_state, n)
+                mu_rho_n = tensor_power(kg_rho.mu, n)
                 q_pairing = float((np.trace(mu_rho_n @ gamma_op)
                                    - np.trace(mu_rho_n @ kg_apply_observable(
                                        kg_sigma, gamma_op, n))).real)
@@ -312,7 +310,7 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                                                trials=min(config.trials, 100),
                                                seed=seed)
                 rows.append({"N": n, "dim": d, "m": m,
-                             "gamma_N": _fmt(gamma_n(kg_sigma, mu_rho_state, n)),
+                             "gamma_N": _fmt(gammas[n]),
                              "min_eig_PGamma": _fmt(report.min_eig),
                              "violation_fraction": _fmt(report.violation_fraction)})
     return RunResult(config=config, records=[], extra_pass=bool(ok),

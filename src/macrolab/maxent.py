@@ -4,16 +4,22 @@ Forward map lambda -> (mu, f, logZ), Kubo covariance C = df/dlambda, inverse
 fit f_target -> lambda by damped Newton on the strictly convex dual
 logZ(lambda) - lambda . f_target, and the tangent operators dmu/df_a used by
 the coarse-graining projector.
+
+The forward map is the only place the exponent A = sum_a lambda^a G_a is
+eigensolved.  The state carries the eigenpairs (w, v) of A, and everything
+downstream reads them: the covariance and the tangents share one table of
+Kubo weights K_ij = (e^w_i - e^w_j) / ((w_i - w_j) Z) with the observables
+rotated once into A's eigenbasis, so neither solves A again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (check_hermitian, eig, frechet_exp, hermitian_part,
-                        operator_to_json, operator_from_json)
+from .operators import (check_hermitian, eig, exp_divided_differences,
+                        hermitian_part, operator_to_json, operator_from_json)
 
 GRAM_COND_MAX = 1e8
 LAMBDA_DIVERGENCE = 1e3
@@ -71,22 +77,23 @@ class ObservableSet:
 
 @dataclass(frozen=True)
 class CanonicalState:
-    """A fitted MaxEnt state: mu = exp(sum lambda^a G_a - logZ)."""
+    """A fitted MaxEnt state: mu = exp(sum lambda^a G_a - logZ).
+
+    spectrum holds the eigenpairs (w, v) of the exponent A, w ascending.
+    """
     observables: ObservableSet
     lam: np.ndarray
     f: np.ndarray
     mu: np.ndarray
     logZ: float
+    spectrum: tuple[np.ndarray, np.ndarray]
     fit_residual: float = 0.0
     near_extremal: bool = False
 
     @property
     def exponent(self) -> np.ndarray:
         """A = sum_a lambda^a G_a."""
-        a = np.zeros((self.observables.dim,) * 2, dtype=complex)
-        for lam_a, g in zip(self.lam, self.observables.members):
-            a = a + lam_a * g
-        return a
+        return _exponent(self.observables, self.lam)
 
     def to_json(self) -> dict:
         return {"observables": self.observables.to_json(),
@@ -97,46 +104,47 @@ class CanonicalState:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CanonicalState":
-        return cls(observables=ObservableSet.from_json(doc["observables"]),
-                   lam=np.asarray(doc["lambda"], dtype=float),
-                   f=np.asarray(doc["f"], dtype=float),
-                   mu=operator_from_json(doc["mu"]),
-                   logZ=float(doc["logZ"]))
+        return canonical_from_lambda(
+            ObservableSet.from_json(doc["observables"]), doc["lambda"])
 
 
-def _exp_and_logz(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp(A)/Z and logZ = log tr exp(A), shifted by the top eigenvalue."""
-    w, v = eig(a)
+def _exponent(obs: ObservableSet, lam: np.ndarray) -> np.ndarray:
+    a = np.zeros((obs.dim, obs.dim), dtype=complex)
+    for lam_a, g in zip(lam, obs.members):
+        a = a + lam_a * g
+    return a
+
+
+def canonical_from_lambda(obs: ObservableSet, lam) -> CanonicalState:
+    """Forward map: Lagrange parameters to the canonical state, from one
+    eigensolve of A shifted by its top eigenvalue."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.shape != (obs.size,):
+        raise ValueError(f"lambda length {lam.shape} != {obs.size}")
+    w, v = eig(_exponent(obs, lam))
     shift = float(w[-1])
     ew = np.exp(w - shift)
     z = float(np.sum(ew))
     mu = hermitian_part((v * (ew / z)) @ v.conj().T)
-    return mu, shift + float(np.log(z))
-
-
-def canonical_from_lambda(obs: ObservableSet, lam) -> CanonicalState:
-    """Forward map: Lagrange parameters to the canonical state."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (obs.size,):
-        raise ValueError(f"lambda length {lam.shape} != {obs.size}")
-    a = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for lam_a, g in zip(lam, obs.members):
-        a = a + lam_a * g
-    mu, logz = _exp_and_logz(a)
     return CanonicalState(observables=obs, lam=lam, f=obs.expectations(mu),
-                          mu=mu, logZ=logz)
+                          mu=mu, logZ=shift + float(np.log(z)),
+                          spectrum=(w, v))
+
+
+def _kubo_table(cs: CanonicalState) -> tuple[np.ndarray, np.ndarray]:
+    """Kubo weights K and the rotated observables G~_a = v^dagger G_a v, so
+    that dmu/dlambda^a = v (K o G~_a) v^dagger - mu f_a.  K is formed at
+    w - w_max, so no exponential overflows."""
+    w, v = cs.spectrum
+    k = exp_divided_differences(w - w[-1]) / np.exp(cs.logZ - w[-1])
+    g = np.reshape(cs.observables.members, (-1, *v.shape))
+    return k, v.conj().T @ g @ v
 
 
 def covariance(cs: CanonicalState) -> np.ndarray:
     """Kubo covariance C_ab = df_a/dlambda^b, symmetric positive definite."""
-    obs = cs.observables
-    a = cs.exponent
-    z = np.exp(cs.logZ)
-    c = np.empty((obs.size, obs.size))
-    for b, gb in enumerate(obs.members):
-        dmu = frechet_exp(a, gb) / z
-        for i, gi in enumerate(obs.members):
-            c[i, b] = np.trace(gi @ dmu).real - cs.f[i] * cs.f[b]
+    k, gt = _kubo_table(cs)
+    c = np.einsum("ij,aji,bij->ab", k, gt, gt).real - np.outer(cs.f, cs.f)
     return (c + c.T) / 2
 
 
@@ -153,15 +161,12 @@ def fit_maxent(obs: ObservableSet, f_target, tol: float = 1e-10,
     if not np.all(np.isfinite(f_target)):
         raise ValueError("target expectation values must be finite")
 
-    def finish(lam, cs, resid):
+    def finish(cs, resid):
         # boundary targets converge with huge parameters and a nearly
         # singular state; flag them as near-extremal
-        extremal = bool(np.max(np.abs(lam), initial=0.0) > 20
-                        or (cs.mu.shape[0] > 0
-                            and np.linalg.eigvalsh(cs.mu)[0] < 1e-9))
-        return CanonicalState(observables=obs, lam=lam, f=cs.f, mu=cs.mu,
-                              logZ=cs.logZ, fit_residual=resid,
-                              near_extremal=extremal)
+        extremal = bool(np.max(np.abs(cs.lam), initial=0.0) > 20
+                        or np.exp(cs.spectrum[0][0] - cs.logZ) < 1e-9)
+        return replace(cs, fit_residual=resid, near_extremal=extremal)
 
     lam = np.zeros(obs.size)
     cs = canonical_from_lambda(obs, lam)
@@ -169,7 +174,7 @@ def fit_maxent(obs: ObservableSet, f_target, tol: float = 1e-10,
     for _ in range(max_iter):
         resid = float(np.max(np.abs(cs.f - f_target))) if obs.size else 0.0
         if resid <= tol:
-            return finish(lam, cs, resid)
+            return finish(cs, resid)
         c = covariance(cs) + COV_REGULARIZATION * np.eye(obs.size)
         step = np.linalg.solve(c, f_target - cs.f)
         # backtracking: halve until the dual decreases
@@ -193,7 +198,7 @@ def fit_maxent(obs: ObservableSet, f_target, tol: float = 1e-10,
                 + _extremal_note(obs, f_target))
     resid = float(np.max(np.abs(cs.f - f_target))) if obs.size else 0.0
     if resid <= tol:
-        return finish(lam, cs, resid)
+        return finish(cs, resid)
     raise InfeasibleTargetError(
         f"Newton fit stalled at residual {resid:.3e} after {max_iter} "
         f"iterations; target {f_target.tolist()} appears infeasible or "
@@ -226,10 +231,9 @@ def state_derivatives(cs: CanonicalState) -> list[np.ndarray]:
         raise ValueError(f"covariance ill-conditioned (cond {cond:.3e}); "
                          "state too close to extremal")
     cinv = np.linalg.inv(c)
-    a = cs.exponent
-    z = np.exp(cs.logZ)
-    dmu_dlam = [frechet_exp(a, g) / z - cs.mu * fb
-                for g, fb in zip(obs.members, cs.f)]
-    return [hermitian_part(sum(cinv[i, b] * dmu_dlam[b]
-                               for b in range(obs.size)))
-            for i in range(obs.size)]
+    k, gt = _kubo_table(cs)
+    _, v = cs.spectrum
+    mixed = np.einsum("ab,bij->aij", cinv, gt)
+    derivs = (v @ (k * mixed) @ v.conj().T
+              - cs.mu * (cinv @ cs.f)[:, None, None])
+    return [hermitian_part(d) for d in derivs]

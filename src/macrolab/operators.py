@@ -51,16 +51,6 @@ def eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hermitian_part(h))
 
 
-def _spectral_apply(h: np.ndarray, fn) -> np.ndarray:
-    w, v = eig(h)
-    return hermitian_part((v * fn(w)) @ v.conj().T)
-
-
-def op_exp(h: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian operator, via its spectrum."""
-    return _spectral_apply(h, np.exp)
-
-
 def op_log_on_support(h: np.ndarray) -> np.ndarray:
     """Matrix log of a PSD operator, restricted to its support.
 
@@ -85,16 +75,22 @@ def frechet_exp(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     if a.shape != e.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {e.shape}")
     w, v = eig(a)
-    ew = np.exp(w)
-    num = ew[:, None] - ew[None, :]
-    den = w[:, None] - w[None, :]
-    # divided-difference table; near-degenerate pairs fall back to the limit
-    small = np.abs(den) < 1e-12
-    phi = np.where(small, (ew[:, None] + ew[None, :]) / 2,
-                   num / np.where(small, 1.0, den))
     et = v.conj().T @ e @ v
-    out = v @ (phi * et) @ v.conj().T
+    out = v @ (exp_divided_differences(w) * et) @ v.conj().T
     return hermitian_part(out) if max_asymmetry(e) <= HERM_ATOL else out
+
+
+def exp_divided_differences(w: np.ndarray) -> np.ndarray:
+    """Table (exp(w_i) - exp(w_j)) / (w_i - w_j) over a spectrum w.
+
+    Near-degenerate pairs (|w_i - w_j| < 1e-12) take the limit, the mean of
+    exp(w_i) and exp(w_j).
+    """
+    ew = np.exp(w)
+    den = w[:, None] - w[None, :]
+    small = np.abs(den) < 1e-12
+    return np.where(small, (ew[:, None] + ew[None, :]) / 2,
+                    (ew[:, None] - ew[None, :]) / np.where(small, 1.0, den))
 
 
 def tensor_power(rho: np.ndarray, n: int, cap: int = DIM_CAP) -> np.ndarray:
@@ -237,17 +233,6 @@ def apply_channel(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
         raise ValueError(f"incomplete Kraus set: completeness error {err:.3e}")
     out = sum(k @ rho @ k.conj().T for k in kraus)
     return hermitian_part(out)
-
-
-def depolarizing_kraus(dim: int) -> list[np.ndarray]:
-    """Measure-and-replace channel mapping every state to identity/dim."""
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            k = np.zeros((dim, dim), dtype=complex)
-            k[i, j] = 1.0 / np.sqrt(dim)
-            out.append(k)
-    return out
 
 
 # ---------------------------------------------------------------------------

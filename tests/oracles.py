@@ -1,12 +1,58 @@
-"""Independent oracles for the Neyman-Pearson tests, used by the test suite."""
+"""Independent oracles and helpers used only by the test suite."""
 
 import math
 
 import numpy as np
 
 from macrolab.hypotest import np_optimal_test
-from macrolab.operators import (eig, hermitian_part, random_test_operator,
-                                tensor_power)
+from macrolab.operators import (eig, frechet_exp, hermitian_part,
+                                random_test_operator, tensor_power)
+
+
+def _spectral_apply(h: np.ndarray, fn) -> np.ndarray:
+    w, v = eig(h)
+    return hermitian_part((v * fn(w)) @ v.conj().T)
+
+
+def op_exp(h: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a Hermitian operator, via its spectrum."""
+    return _spectral_apply(h, np.exp)
+
+
+def depolarizing_kraus(dim: int) -> list[np.ndarray]:
+    """Measure-and-replace channel mapping every state to identity/dim."""
+    out = []
+    for i in range(dim):
+        for j in range(dim):
+            k = np.zeros((dim, dim), dtype=complex)
+            k[i, j] = 1.0 / np.sqrt(dim)
+            out.append(k)
+    return out
+
+
+def frechet_dmu_dlam(cs) -> list[np.ndarray]:
+    """dmu/dlambda^b = D exp(A)[G_b] / Z - mu f_b, one Frechet derivative of
+    exp at the exponent per observable."""
+    a = cs.exponent
+    z = np.exp(cs.logZ)
+    return [frechet_exp(a, g) / z - cs.mu * fb
+            for g, fb in zip(cs.observables.members, cs.f)]
+
+
+def frechet_covariance(cs) -> np.ndarray:
+    """Kubo covariance C_ab = tr(G_a dmu/dlambda^b), symmetrized."""
+    dmu = frechet_dmu_dlam(cs)
+    c = np.array([[np.trace(ga @ db).real for db in dmu]
+                  for ga in cs.observables.members])
+    return (c + c.T) / 2
+
+
+def frechet_state_derivatives(cs) -> list[np.ndarray]:
+    """Tangents dmu/df_a = sum_b (C^-1)_ab dmu/dlambda^b."""
+    cinv = np.linalg.inv(frechet_covariance(cs))
+    dmu = frechet_dmu_dlam(cs)
+    return [hermitian_part(sum(cinv[a, b] * dmu[b] for b in range(len(dmu))))
+            for a in range(len(dmu))]
 
 
 def classical_np_oracle(p, q, eps):

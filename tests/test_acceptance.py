@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The sweeps here use the
-full 1000-trial settings and take a few minutes in total.
+full 1000-trial settings; the module takes about 15 s on a 2-core VM.
 """
 
 import math

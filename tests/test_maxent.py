@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from macrolab.maxent import (CanonicalState, InfeasibleTargetError,
                              fit_maxent, state_derivatives)
 from macrolab.operators import (hermitian_part, random_density,
                                 random_hermitian, random_observables)
+from oracles import frechet_covariance, frechet_state_derivatives, op_exp
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -58,7 +60,6 @@ class TestForwardMap:
     def test_state_invariant(self):
         obs = seeded_set(3, 3, 2)
         cs = canonical_from_lambda(obs, [0.4, -0.2])
-        from macrolab.operators import op_exp
         np.testing.assert_allclose(cs.mu, op_exp(cs.exponent) / np.exp(cs.logZ),
                                    atol=1e-10)
 
@@ -88,6 +89,49 @@ class TestCovariance:
         obs = seeded_set(6, 4, 3)
         c = covariance(canonical_from_lambda(obs, [0.2, 0.1, -0.4]))
         assert np.linalg.eigvalsh(c)[0] > 0
+
+    def test_no_overflow_at_large_exponent(self):
+        # exp of an eigenvalue above ~709 overflows; the forward map shifts
+        # by the top eigenvalue, and so must the Kubo weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cs = canonical_from_lambda(qubit_z(), [800.0])
+            c = covariance(cs)
+        assert cs.f[0] == pytest.approx(1.0) and cs.logZ == pytest.approx(800.0)
+        assert np.all(np.isfinite(c))
+        np.testing.assert_allclose(c, [[0.0]], atol=1e-12)
+
+
+class TestKuboTable:
+    """covariance and state_derivatives against one Frechet derivative of
+    exp per observable (tests/oracles.py)."""
+
+    @staticmethod
+    def check_against_frechet(cs):
+        np.testing.assert_allclose(covariance(cs), frechet_covariance(cs),
+                                   rtol=0, atol=1e-12)
+        for got, want in zip(state_derivatives(cs),
+                             frechet_state_derivatives(cs)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4, 8]),
+           st.integers(1, 3))
+    def test_matches_frechet(self, seed, dim, m):
+        obs = seeded_set(seed, dim, m)
+        lam = np.random.default_rng([seed, 80]).uniform(-2, 2, m)
+        self.check_against_frechet(canonical_from_lambda(obs, lam))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_degenerate_spectrum(self, dim, m):
+        # lambda = 0: A = 0, every pair takes the diagonal limit
+        obs = seeded_set(dim, dim, m)
+        cs = canonical_from_lambda(obs, np.zeros(m))
+        self.check_against_frechet(cs)
+        # trace-orthonormal, traceless observables: C = 1/dim
+        np.testing.assert_allclose(covariance(cs), np.eye(m) / dim,
+                                   rtol=0, atol=1e-12)
 
 
 class TestFit:
@@ -194,3 +238,10 @@ class TestSerialization:
         np.testing.assert_allclose(back.mu, cs.mu, atol=1e-14)
         np.testing.assert_allclose(back.lam, cs.lam)
         assert back.logZ == pytest.approx(cs.logZ)
+
+    def test_round_trip_carries_spectrum(self):
+        cs = fit_maxent(seeded_set(4, 3, 2), [0.1, -0.2])
+        back = CanonicalState.from_json(json.loads(json.dumps(cs.to_json())))
+        np.testing.assert_array_equal(back.spectrum[0], cs.spectrum[0])
+        np.testing.assert_array_equal(back.spectrum[1], cs.spectrum[1])
+        np.testing.assert_array_equal(covariance(back), covariance(cs))

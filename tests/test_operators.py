@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macrolab.operators import (apply_channel, depolarizing_kraus, eig,
-                                frechet_exp, hermitian_part,
-                                kraus_completeness_error, op_exp,
+from macrolab.operators import (apply_channel, eig, frechet_exp,
+                                hermitian_part, kraus_completeness_error,
                                 op_log_on_support, operator_from_json,
                                 operator_to_json, partial_trace,
                                 pos_neg_parts, random_density,
                                 random_hermitian, random_kraus,
                                 random_observables, random_test_operator,
                                 random_unitary, tensor_power, trace_norm)
+from oracles import depolarizing_kraus, op_exp
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
