@@ -4,7 +4,8 @@
              [--seed S] [--n-max N] [--epsilon E] [--out PATH]
              [--config PATH.json] [--summary]
 
-Flags override config-file values.  Exit code 0 iff all hard invariants pass.
+Flags override config-file values.  --summary prints each named hard check
+with its worst value and bound.  Exit code 0 iff every named check passes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with the same keys as the flags")
     p.add_argument("--summary", action="store_true",
-                   help="print pass fraction, min slack, and redraw counts")
+                   help="print named checks, pass fraction and redraws")
     return p
 
 

@@ -18,16 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxent import CanonicalState, ObservableSet, fit_maxent, state_derivatives
-from .operators import (DIM_CAP, embed_at_slot, hermitian_part, partial_trace,
+from .operators import (embed_at_slot, hermitian_part, partial_trace,
                         pos_neg_parts, random_test_operator, tensor_power)
 
 
-def canonical_coarse_grain(rho: np.ndarray, obs: ObservableSet,
-                           tol: float = 1e-10) -> CanonicalState:
+def canonical_coarse_grain(rho: np.ndarray,
+                           obs: ObservableSet) -> CanonicalState:
     """Replace rho by the MaxEnt state sharing its relevant expectations."""
     if rho.shape[0] != obs.dim:
         raise ValueError(f"state dim {rho.shape[0]} != observables dim {obs.dim}")
-    return fit_maxent(obs, obs.expectations(rho), tol=tol)
+    return fit_maxent(obs, obs.expectations(rho))
 
 
 def product_coarse_grain(rho_ab: np.ndarray,
@@ -71,30 +71,25 @@ def kg_build(obs: ObservableSet, f) -> KGProjector:
                        derivs=tuple(state_derivatives(cs)))
 
 
-def kg_apply_state(kg: KGProjector, tau: np.ndarray, n: int,
-                   cap: int = DIM_CAP) -> np.ndarray:
+def kg_apply_state(kg: KGProjector, tau: np.ndarray, n: int) -> np.ndarray:
     """Adjoint action on a trace-1 Hermitian tau living on n copies."""
-    if kg.dim ** n > cap:
-        raise ValueError(f"lifted dimension {kg.dim ** n} exceeds cap {cap}")
     if tau.shape[0] != kg.dim ** n:
         raise ValueError(f"tau dim {tau.shape[0]} != {kg.dim}^{n}")
-    out = tensor_power(kg.mu, n, cap=cap).astype(complex)
+    out = tensor_power(kg.mu, n).astype(complex)
     for a in range(kg.observables.size):
         gbar = float(np.trace(kg.lifted_observable(a, n) @ tau).real)
         out = out + kg.lifted_deriv(a, n) * (gbar - kg.f[a])
     return hermitian_part(out)
 
 
-def kg_apply_observable(kg: KGProjector, gamma: np.ndarray, n: int,
-                        cap: int = DIM_CAP) -> np.ndarray:
+def kg_apply_observable(kg: KGProjector, gamma: np.ndarray,
+                        n: int) -> np.ndarray:
     """The projector itself: P Gamma on the n-copy observable space."""
-    if kg.dim ** n > cap:
-        raise ValueError(f"lifted dimension {kg.dim ** n} exceeds cap {cap}")
     if gamma.shape[0] != kg.dim ** n:
         raise ValueError(f"observable dim {gamma.shape[0]} != {kg.dim}^{n}")
     dim_n = kg.dim ** n
     eye = np.eye(dim_n, dtype=complex)
-    mu_n = tensor_power(kg.mu, n, cap=cap)
+    mu_n = tensor_power(kg.mu, n)
     out = np.trace(mu_n @ gamma) * eye
     for a in range(kg.observables.size):
         coef = np.trace(kg.lifted_deriv(a, n) @ gamma)
@@ -131,15 +126,14 @@ def positivity_diagnostic(kg: KGProjector, n: int, trials: int,
                             violation_fraction=violations / trials)
 
 
-def gamma_n(kg: KGProjector, rho: np.ndarray, n: int,
-            cap: int = DIM_CAP) -> float:
+def gamma_n(kg: KGProjector, rho: np.ndarray, n: int) -> float:
     """sup over tests of |(rho^N | Q Gamma)|, evaluated in closed form.
 
     With Delta = rho^N - P_adj(rho^N) the supremum equals
     max(tr Delta_+, tr Delta_-), attained by the sign projector of Delta.
     """
-    rho_n = tensor_power(rho, n, cap=cap)
-    delta = rho_n - kg_apply_state(kg, rho_n, n, cap=cap)
+    rho_n = tensor_power(rho, n)
+    delta = rho_n - kg_apply_state(kg, rho_n, n)
     pos, neg = pos_neg_parts(delta)
     return max(float(np.trace(pos).real), float(np.trace(neg).real))
 

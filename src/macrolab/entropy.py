@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .operators import LOG_SUPPORT_RTOL, PSD_ATOL, eig, op_log_on_support
+from .operators import (LOG_SUPPORT_RTOL, PSD_ATOL, check_hermitian, eig,
+                        op_log_on_support)
 
 SUPPORT_LEAK_TOL = 1e-10
 
@@ -19,8 +20,9 @@ def von_neumann(rho: np.ndarray) -> float:
     """-sum w ln w over the spectrum, with 0 ln 0 = 0.
 
     Eigenvalues at or below LOG_SUPPORT_RTOL relative to the largest one are
-    kernel, as in op_log_on_support.
+    kernel, as in op_log_on_support.  Rejects non-Hermitian input.
     """
+    check_hermitian(rho)
     w = np.linalg.eigvalsh(rho)
     w = w[w > LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)]
     return float(-np.sum(w * np.log(w)))

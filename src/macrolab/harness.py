@@ -2,15 +2,19 @@
 
 Each experiment draws everything it needs from per-trial RNG streams derived
 from (seed, trial index), so results are identical regardless of execution
-order.  Records serialize to CSV with the fixed column set
-trial, dim, m, S_before, S_after, slack, pass.
+order.  A run is one shape for every experiment: named columns, rows of raw
+values, and named hard checks.  The four sweeps share the columns
+trial, dim, m, S_before, S_after, slack, pass; stein and kg-checks have their
+own.  Each check reports the worst value over the run, the bound it was
+compared with, and whether every comparison held.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,49 +54,57 @@ class ExperimentConfig:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.dim is not None and self.dim < 2:
             raise ValueError("dim must be >= 2")
+        if self.dims is not None and min(self.dims) < 2:
+            raise ValueError("each of dims must be >= 2")
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
 
 
-@dataclass
-class TrialRecord:
-    trial: int
-    dim: int
-    m: int
-    s_before: float
-    s_after: float
-    slack_tol: float
-    aux: dict = field(default_factory=dict)
+@dataclass(frozen=True)
+class Check:
+    name: str
+    value: float    # worst value over the run
+    bound: float    # what that value was compared with
+    passed: bool    # the comparison held at every evaluation
 
-    @property
-    def slack(self) -> float:
-        return self.s_before - self.s_after
 
-    @property
-    def passed(self) -> bool:
-        return self.slack >= -self.slack_tol
+def _check(name: str, holds, pairs) -> Check:
+    """Passes iff holds(value, bound) at every pair; reports the pair nearest
+    to failing: holds is operator.lt (upper bound) or operator.ge (lower)."""
+    pairs = list(pairs)
+    worst = max if holds is operator.lt else min
+    value, bound = worst(pairs, key=lambda p: p[0] - p[1],
+                         default=(math.nan, math.nan))
+    return Check(name, float(value), float(bound),
+                 all(holds(v, b) for v, b in pairs))
 
 
 @dataclass
 class RunResult:
     config: ExperimentConfig
-    records: list[TrialRecord]
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    checks: list[Check]
     redraws: int = 0
-    extra_pass: bool = True     # secondary checks folded into the run
-    csv_rows: list[dict] | None = None  # overrides the default CSV (stein/kg)
-    csv_columns: tuple[str, ...] | None = None
-
-    @property
-    def pass_fraction(self) -> float:
-        if not self.records:
-            return 1.0
-        return sum(r.passed for r in self.records) / len(self.records)
-
-    @property
-    def min_slack(self) -> float:
-        return min((r.slack for r in self.records), default=0.0)
 
     @property
     def all_pass(self) -> bool:
-        return self.pass_fraction == 1.0 and self.extra_pass
+        return all(c.passed for c in self.checks)
+
+
+SWEEP_COLUMNS = ("trial", "dim", "m", "S_before", "S_after", "slack", "pass")
+
+
+def _sweep_result(config: ExperimentConfig, trials: list[tuple],
+                  extra: tuple[Check, ...] = (), redraws: int = 0
+                  ) -> RunResult:
+    """Rows and the slack check from (trial, dim, m, S_before, S_after)."""
+    tol = config.slack_tol
+    rows = [(t, d, m, before, after, before - after,
+             int(before - after >= -tol))
+            for t, d, m, before, after in trials]
+    slack = _check("slack", operator.ge, ((r[5], -tol) for r in rows))
+    return RunResult(config, SWEEP_COLUMNS, rows, [slack, *extra], redraws)
 
 
 def _trial_dim(config: ExperimentConfig, trial: int,
@@ -111,7 +123,7 @@ def _feasible_canonical(obs: ObservableSet, seed: int, trial: int,
     for k in range(20):
         rho = random_density(seed, obs.dim, index=trial * 1000 + index0 + k)
         try:
-            return canonical_coarse_grain(rho, obs, tol=1e-10), redraws
+            return canonical_coarse_grain(rho, obs), redraws
         except InfeasibleTargetError:
             redraws += 1
     raise InfeasibleTargetError(
@@ -122,10 +134,10 @@ def run_process(config: ExperimentConfig) -> RunResult:
     """Reproducible-process sweep: two preparations, one shared unitary.
 
     Checks that relative entropy between the two final macrostates does not
-    exceed that between the initial ones, and (aux) the same for the uniform
-    reference state.
+    exceed that between the initial ones (slack), and the same for the
+    uniform reference state (second_law).
     """
-    records, redraws = [], 0
+    trials, second_law, redraws = [], [], 0
     for trial in range(config.trials):
         d = _trial_dim(config, trial, cycle=(4,))
         seed = config.seed
@@ -145,20 +157,18 @@ def run_process(config: ExperimentConfig) -> RunResult:
         s_before = relative_entropy(mu_g.mu, mu_gp.mu)
         s_after = relative_entropy(mu_f.mu, mu_fp.mu)
         uniform = np.eye(d) / d
-        records.append(TrialRecord(
-            trial=trial, dim=d, m=config.m, s_before=s_before,
-            s_after=s_after, slack_tol=config.slack_tol,
-            aux={"uniform_before": relative_entropy(mu_g.mu, uniform),
-                 "uniform_after": relative_entropy(mu_f.mu, uniform)}))
-    extra = all(r.aux["uniform_before"] - r.aux["uniform_after"]
-                >= -config.slack_tol for r in records)
-    return RunResult(config=config, records=records, redraws=redraws,
-                     extra_pass=extra)
+        trials.append((trial, d, config.m, s_before, s_after))
+        second_law.append((relative_entropy(mu_g.mu, uniform)
+                           - relative_entropy(mu_f.mu, uniform),
+                           -config.slack_tol))
+    return _sweep_result(config, trials,
+                         (_check("second_law", operator.ge, second_law),),
+                         redraws)
 
 
 def run_monotonicity(config: ExperimentConfig) -> RunResult:
     """Canonical coarse graining can only shrink relative entropy."""
-    records, redraws = [], 0
+    trials, redraws = [], 0
     for trial in range(config.trials):
         d = _trial_dim(config, trial)
         m = min(config.m, d * d - 1)
@@ -172,24 +182,20 @@ def run_monotonicity(config: ExperimentConfig) -> RunResult:
         except InfeasibleTargetError:
             redraws += 1
             continue
-        records.append(TrialRecord(
-            trial=trial, dim=d, m=m,
-            s_before=relative_entropy(rho, sigma),
-            s_after=relative_entropy(cg_rho.mu, cg_sigma.mu),
-            slack_tol=config.slack_tol))
-    return RunResult(config=config, records=records, redraws=redraws)
+        trials.append((trial, d, m, relative_entropy(rho, sigma),
+                       relative_entropy(cg_rho.mu, cg_sigma.mu)))
+    return _sweep_result(config, trials, redraws=redraws)
 
 
 def run_product(config: ExperimentConfig) -> RunResult:
     """Correlation removal can only shrink relative entropy.
 
-    Also records (aux) the weaker single-marginal bound
-    S(rho_A || sigma_A) <= S(rho_AB || sigma_AB).
+    Also checks the weaker single-marginal bound
+    S(rho_A || sigma_A) <= S(rho_AB || sigma_AB) (marginal).
     """
     dims = config.dims if config.dims is not None else (2, 2)
     d = dims[0] * dims[1]
-    records = []
-    extra = True
+    trials, marginal = [], []
     for trial in range(config.trials):
         rho = random_density(config.seed, d, index=2 * trial)
         sigma = random_density(config.seed, d, index=2 * trial + 1)
@@ -198,29 +204,25 @@ def run_product(config: ExperimentConfig) -> RunResult:
                                   product_coarse_grain(sigma, dims))
         s_marg = relative_entropy(partial_trace(rho, dims, "A"),
                                   partial_trace(sigma, dims, "A"))
-        records.append(TrialRecord(
-            trial=trial, dim=d, m=0, s_before=s_full, s_after=s_prod,
-            slack_tol=config.slack_tol, aux={"marginal_after": s_marg}))
-        extra = extra and (s_full - s_marg >= -config.slack_tol)
-    return RunResult(config=config, records=records, extra_pass=extra)
+        trials.append((trial, d, 0, s_full, s_prod))
+        marginal.append((s_full - s_marg, -config.slack_tol))
+    return _sweep_result(config, trials,
+                         (_check("marginal", operator.ge, marginal),))
 
 
 def run_lindblad(config: ExperimentConfig) -> RunResult:
     """Lindblad monotonicity under random CPTP channels."""
-    records = []
+    trials = []
     for trial in range(config.trials):
         d = _trial_dim(config, trial)
         n_kraus = 1 + trial % 4
         kraus = random_kraus(config.seed, d, n_kraus, index=trial)
         rho = random_density(config.seed, d, index=2 * trial)
         sigma = random_density(config.seed, d, index=2 * trial + 1)
-        records.append(TrialRecord(
-            trial=trial, dim=d, m=n_kraus,
-            s_before=relative_entropy(rho, sigma),
-            s_after=relative_entropy(apply_channel(rho, kraus),
-                                     apply_channel(sigma, kraus)),
-            slack_tol=config.slack_tol))
-    return RunResult(config=config, records=records)
+        trials.append((trial, d, n_kraus, relative_entropy(rho, sigma),
+                       relative_entropy(apply_channel(rho, kraus),
+                                        apply_channel(sigma, kraus))))
+    return _sweep_result(config, trials)
 
 
 # Benchmark pair for the error-rate study: classical KL is known in closed
@@ -233,33 +235,36 @@ def run_stein(config: ExperimentConfig) -> RunResult:
     """Finite-copy error-rate series for the diagonal benchmark pair."""
     series = stein_rate_series(STEIN_RHO, STEIN_SIGMA, config.epsilon,
                                config.n_max)
-    rows = []
-    for n, prob, rate in series.rows:
-        gap = math.inf if math.isinf(rate) else abs(rate - series.rel_entropy)
-        rows.append({"N": n, "prob": _fmt(prob), "rate": _fmt(rate),
-                     "relative_entropy": _fmt(series.rel_entropy),
-                     "gap": _fmt(gap)})
+    rel = series.rel_entropy
+    rows = [(n, prob, rate, rel,
+             math.inf if math.isinf(rate) else abs(rate - rel))
+            for n, prob, rate in series.rows]
     # hard invariant: the rate approaches the relative entropy
-    first_gap = abs(series.rows[0][2] - series.rel_entropy)
-    last_gap = abs(series.rows[-1][2] - series.rel_entropy)
-    ok = len(series.rows) < 2 or last_gap < first_gap
-    return RunResult(config=config, records=[], extra_pass=ok, csv_rows=rows,
-                     csv_columns=("N", "prob", "rate", "relative_entropy",
-                                  "gap"))
+    first_gap = abs(series.rows[0][2] - rel)
+    last_gap = abs(series.rows[-1][2] - rel)
+    trend = Check("rate_trend", last_gap, first_gap,
+                  len(series.rows) < 2 or last_gap < first_gap)
+    return RunResult(config, ("N", "prob", "rate", "relative_entropy", "gap"),
+                     rows, [trend])
+
+
+# Kawasaki-Gunton hard checks and the comparison each one makes
+KG_CHECKS = {"defining_property": operator.lt, "linearity": operator.lt,
+             "idempotency": operator.lt, "adjoint_expectations": operator.lt,
+             "pairing_slack": operator.ge, "fixed_point": operator.lt}
 
 
 def run_kg_checks(config: ExperimentConfig) -> RunResult:
     """Kawasaki-Gunton invariant battery plus the positivity diagnostic.
 
-    Hard checks (defining property, linearity, idempotency, expectation
-    reproduction, pairing slack, fixed-point gamma) run over dims {2, 3},
-    m in {1, 2}, N in {1, ..., min(n_max, 3)}; the positivity measurement is
-    reported but never asserted.
+    The hard checks of KG_CHECKS run over dims {2, 3}, m in {1, 2},
+    N in {1, ..., min(n_max, 3)}; the positivity measurement is reported but
+    never asserted.
     """
     seed = config.seed
     tol = config.slack_tol
     rows = []
-    ok = True
+    pairs = {name: [] for name in KG_CHECKS}
     n_range = range(1, min(config.n_max, 3) + 1)
     for d in (2, 3):
         for m in (1, 2):
@@ -281,42 +286,40 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                 # defining property via the pairing
                 defect = abs(np.trace(rho_n @ p_gamma)
                              - np.trace(mu_n @ gamma_op))
-                ok &= defect < tol
+                pairs["defining_property"].append((defect, tol))
                 # linearity
                 lin = kg_apply_observable(kg_rho, 0.3 * gamma_op + 0.6 * gamma_op2, n) \
                     - 0.3 * p_gamma - 0.6 * kg_apply_observable(kg_rho, gamma_op2, n)
-                ok &= float(np.max(np.abs(lin))) < 1e-10
+                pairs["linearity"].append((float(np.max(np.abs(lin))), 1e-10))
                 # idempotency across different expectation values
                 ps_gamma = kg_apply_observable(kg_sigma, gamma_op, n)
                 idem = kg_apply_observable(kg_rho, ps_gamma, n) - ps_gamma
-                ok &= float(np.linalg.norm(idem)) < tol
+                pairs["idempotency"].append((float(np.linalg.norm(idem)), tol))
                 # expectation reproduction by the adjoint
                 tau = random_density(seed, dim_n, index=300 + n)
                 lifted = kg_apply_state(kg_rho, tau, n)
                 for a in range(m):
                     gbar = kg_rho.lifted_observable(a, n)
-                    ok &= abs(np.trace(gbar @ lifted)
-                              - np.trace(gbar @ tau)) < tol
+                    pairs["adjoint_expectations"].append(
+                        (abs(np.trace(gbar @ lifted) - np.trace(gbar @ tau)),
+                         tol))
                 # pairing-constraint slack for the eps/eps' choices
-                mu_rho_n = tensor_power(kg_rho.mu, n)
-                q_pairing = float((np.trace(mu_rho_n @ gamma_op)
-                                   - np.trace(mu_rho_n @ kg_apply_observable(
-                                       kg_sigma, gamma_op, n))).real)
-                ok &= eps_prime - q_pairing >= eps - tol
+                q_pairing = float((np.trace(mu_n @ gamma_op)
+                                   - np.trace(mu_n @ ps_gamma)).real)
+                pairs["pairing_slack"].append((eps_prime - q_pairing,
+                                               eps - tol))
                 # fixed point: gamma vanishes at rho = mu_f
                 g_fixed = gamma_n(kg_rho, kg_rho.mu, n)
-                ok &= g_fixed < 1e-10
+                pairs["fixed_point"].append((g_fixed, 1e-10))
                 report = positivity_diagnostic(kg_rho, n,
                                                trials=min(config.trials, 100),
                                                seed=seed)
-                rows.append({"N": n, "dim": d, "m": m,
-                             "gamma_N": _fmt(gammas[n]),
-                             "min_eig_PGamma": _fmt(report.min_eig),
-                             "violation_fraction": _fmt(report.violation_fraction)})
-    return RunResult(config=config, records=[], extra_pass=bool(ok),
-                     csv_rows=rows,
-                     csv_columns=("N", "dim", "m", "gamma_N", "min_eig_PGamma",
-                                  "violation_fraction"))
+                rows.append((n, d, m, gammas[n], report.min_eig,
+                             report.violation_fraction))
+    return RunResult(config, ("N", "dim", "m", "gamma_N", "min_eig_PGamma",
+                              "violation_fraction"), rows,
+                     [_check(name, holds, pairs[name])
+                      for name, holds in KG_CHECKS.items()])
 
 
 RUNNERS = {"process": run_process, "monotonicity": run_monotonicity,
@@ -330,29 +333,20 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 def _fmt(x: float) -> str:
     """Decimal formatting with an 'inf' sentinel (never a float inf)."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return repr(float(x))
+    return "inf" if math.isinf(x) else repr(float(x))
 
 
 def csv_lines(result: RunResult, timestamp: bool = True) -> list[str]:
     """CSV report; first line is a timestamp comment, excluded from
-    determinism comparisons."""
+    determinism comparisons.  Floats go through _fmt, everything else str."""
     lines = []
     if timestamp:
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
         lines.append(f"# generated {now}")
-    if result.csv_rows is not None:
-        cols = result.csv_columns
-        lines.append(",".join(cols))
-        for row in result.csv_rows:
-            lines.append(",".join(str(row[c]) for c in cols))
-        return lines
-    lines.append("trial,dim,m,S_before,S_after,slack,pass")
-    for r in result.records:
-        lines.append(",".join([str(r.trial), str(r.dim), str(r.m),
-                               _fmt(r.s_before), _fmt(r.s_after),
-                               _fmt(r.slack), "1" if r.passed else "0"]))
+    lines.append(",".join(result.columns))
+    for row in result.rows:
+        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x)
+                              for x in row))
     return lines
 
 
@@ -362,13 +356,18 @@ def write_csv(result: RunResult, path: str) -> None:
 
 
 def summary(result: RunResult) -> str:
+    """Row count, the share of named checks that passed, redraws, and one
+    line per check with its worst value and bound."""
+    passed = sum(c.passed for c in result.checks)
     lines = [f"experiment: {result.config.experiment}",
-             f"trials: {len(result.records) or len(result.csv_rows or [])}",
-             f"pass fraction: {result.pass_fraction:.4f}",
-             f"min slack: {result.min_slack:.3e}",
-             f"redraws: {result.redraws}",
-             f"hard checks pass: {result.all_pass}"]
-    if result.redraws and result.records and \
-            result.redraws / len(result.records) >= 0.05:
+             f"trials: {len(result.rows)}",
+             f"pass fraction: {passed / len(result.checks):.4f}",
+             f"redraws: {result.redraws}"]
+    lines += [f"check {c.name}: {'pass' if c.passed else 'FAIL'}, "
+              f"worst {c.value:.3e}, bound {c.bound:.3e}"
+              for c in result.checks]
+    lines.append(f"hard checks pass: {result.all_pass}")
+    if result.redraws and result.rows and \
+            result.redraws / len(result.rows) >= 0.05:
         lines.append("WARNING: redraw rate >= 5%; run flagged")
     return "\n".join(lines)

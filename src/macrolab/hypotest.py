@@ -65,6 +65,8 @@ def _check_pair(rho: np.ndarray, sigma: np.ndarray, eps: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    check_hermitian(rho)
+    check_hermitian(sigma)
 
 
 def _expect(blocks: list[Block], gammas: list[np.ndarray],
@@ -225,7 +227,6 @@ def _schur_weyl_blocks(rho: np.ndarray, sigma: np.ndarray,
     copy, with the relative cutoff of relative_entropy; its kernel becomes
     exact zeros in the blocks, while small products of its eigenvalues stay.
     """
-    check_hermitian(rho)
     w_s, v_s = eig(sigma)
     w_s = np.where(w_s > LOG_SUPPORT_RTOL * w_s[-1], w_s, 0.0)
     r = v_s.conj().T @ rho @ v_s

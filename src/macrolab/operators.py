@@ -93,13 +93,14 @@ def exp_divided_differences(w: np.ndarray) -> np.ndarray:
                     (ew[:, None] - ew[None, :]) / np.where(small, 1.0, den))
 
 
-def tensor_power(rho: np.ndarray, n: int, cap: int = DIM_CAP) -> np.ndarray:
-    """N-fold tensor (Kronecker) power."""
+def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
+    """N-fold tensor (Kronecker) power, of dimension at most DIM_CAP."""
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
     d = rho.shape[0]
-    if d ** n > cap:
-        raise ValueError(f"tensor power dimension {d ** n} exceeds cap {cap}")
+    if d ** n > DIM_CAP:
+        raise ValueError(
+            f"tensor power dimension {d ** n} exceeds cap {DIM_CAP}")
     out = rho
     for _ in range(n - 1):
         out = np.kron(out, rho)

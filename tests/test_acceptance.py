@@ -24,6 +24,10 @@ UNIF = np.diag([0.5, 0.5]).astype(complex)
 KL_TARGET = 0.3680642
 
 
+def checks(result):
+    return {c.name: c for c in result.checks}
+
+
 def report(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {criterion}: {detail}")
@@ -37,38 +41,41 @@ def process_run(experiment_run):
 
 def test_criterion_1_extended_second_law(process_run):
     result, elapsed = process_run
-    ok = (result.pass_fraction == 1.0 and result.min_slack >= -1e-9
-          and elapsed < 120)
-    report(1, ok, f"pass fraction {result.pass_fraction}, "
-                  f"min slack {result.min_slack:.3e}, {elapsed:.1f}s")
+    slack = checks(result)["slack"]
+    ok = slack.passed and slack.value >= -1e-9 and elapsed < 120
+    report(1, ok, f"slack check passed: {slack.passed}, "
+                  f"min slack {slack.value:.3e}, {elapsed:.1f}s")
 
 
 def test_criterion_2_second_law_specialization(process_run):
     result, _ = process_run
-    worst = min(r.aux["uniform_before"] - r.aux["uniform_after"]
-                for r in result.records)
+    worst = checks(result)["second_law"].value
     report(2, worst >= -1e-9, f"min uniform-reference slack {worst:.3e}")
 
 
 def test_criterion_3_monotonicity(experiment_run):
     result, _ = experiment_run("monotonicity", trials=1000, seed=42)
-    ok = (result.pass_fraction == 1.0 and result.min_slack >= -1e-9
-          and {r.dim for r in result.records} == {2, 3, 4})
-    report(3, ok, f"pass fraction {result.pass_fraction}, "
-                  f"min slack {result.min_slack:.3e}")
+    slack = checks(result)["slack"]
+    dim = result.columns.index("dim")
+    ok = (slack.passed and slack.value >= -1e-9
+          and {row[dim] for row in result.rows} == {2, 3, 4})
+    report(3, ok, f"slack check passed: {slack.passed}, "
+                  f"min slack {slack.value:.3e}")
 
 
 def test_criterion_4_product_inequalities(experiment_run):
     result, _ = experiment_run("product", trials=1000, seed=42)
-    ok = result.pass_fraction == 1.0 and result.extra_pass
-    report(4, ok, f"product pass fraction {result.pass_fraction}, "
-                  f"marginal bound holds: {result.extra_pass}")
+    slack, marginal = checks(result)["slack"], checks(result)["marginal"]
+    ok = slack.passed and marginal.passed
+    report(4, ok, f"product bound holds: {slack.passed}, "
+                  f"marginal bound holds: {marginal.passed}")
 
 
 def test_criterion_5_lindblad(experiment_run):
     result, _ = experiment_run("lindblad", trials=1000, seed=42)
-    report(5, result.pass_fraction == 1.0,
-           f"pass fraction {result.pass_fraction}")
+    slack = checks(result)["slack"]
+    report(5, slack.passed, f"slack check passed: {slack.passed}, "
+                            f"min slack {slack.value:.3e}")
 
 
 def test_criterion_6_maxent_correctness():
@@ -119,11 +126,13 @@ def test_criterion_8_stein_rate_trend():
 
 def test_criterion_9_kg_battery(experiment_run):
     result, _ = experiment_run("kg-checks", trials=100, seed=42, n_max=3)
-    has_report = all("violation_fraction" in row and "min_eig_PGamma" in row
-                     for row in result.csv_rows)
+    has_report = ("violation_fraction" in result.columns
+                  and "min_eig_PGamma" in result.columns
+                  and all(len(row) == len(result.columns)
+                          for row in result.rows))
     report(9, result.all_pass and has_report,
            f"hard invariants pass: {result.all_pass}, "
-           f"positivity report rows: {len(result.csv_rows)}")
+           f"positivity report rows: {len(result.rows)}")
 
 
 def test_criterion_10_nonlinearity_witness():

@@ -6,14 +6,25 @@ import pytest
 from macrolab.cli import main
 from macrolab.coarsegrain import canonical_coarse_grain
 from macrolab.entropy import relative_entropy
-from macrolab.harness import (ExperimentConfig, TrialRecord, csv_lines,
-                              run_experiment, summary, write_csv)
+from macrolab.harness import (ExperimentConfig, csv_lines, run_experiment,
+                              summary, write_csv)
 from macrolab.maxent import ObservableSet, fit_maxent
 from macrolab.operators import random_density, random_observables
 
 
 def seeded_set(seed, dim, m, index=0):
     return ObservableSet(dim, tuple(random_observables(seed, dim, m, index=index)))
+
+
+def checks(result):
+    return {c.name: c for c in result.checks}
+
+
+@pytest.fixture(scope="module")
+def failing_product():
+    # the last of these trials has slack -0.0341 at seed 0
+    return run_experiment(ExperimentConfig(
+        experiment="product", trials=746, seed=0))
 
 
 class TestConfig:
@@ -24,6 +35,12 @@ class TestConfig:
             ExperimentConfig(experiment="process", trials=0)
         with pytest.raises(ValueError, match="epsilon"):
             ExperimentConfig(experiment="stein", epsilon=1.5)
+        for name in ("stein", "kg-checks"):
+            with pytest.raises(ValueError, match="n_max"):
+                ExperimentConfig(experiment=name, n_max=0)
+        for dims in ((0, 2), (2, 1)):
+            with pytest.raises(ValueError, match="dims"):
+                ExperimentConfig(experiment="product", dims=dims)
 
 
 class TestProcessPipeline:
@@ -52,17 +69,17 @@ class TestProcessPipeline:
     def test_sweep_passes(self):
         result = run_experiment(ExperimentConfig(
             experiment="process", trials=50, dim=4, m=2, seed=42))
-        assert result.pass_fraction == 1.0
-        assert result.extra_pass  # second-law specialization
-        assert result.min_slack >= -1e-9
+        assert checks(result)["slack"].passed
+        assert checks(result)["second_law"].passed
+        assert checks(result)["slack"].value >= -1e-9
 
 
 class TestSweeps:
     def test_monotonicity(self):
         result = run_experiment(ExperimentConfig(
             experiment="monotonicity", trials=60, seed=7))
-        assert result.pass_fraction == 1.0
-        dims = {r.dim for r in result.records}
+        assert checks(result)["slack"].passed
+        dims = {row[result.columns.index("dim")] for row in result.rows}
         assert dims == {2, 3, 4}
 
     def test_monotonicity_equal_states(self):
@@ -74,31 +91,32 @@ class TestSweeps:
     def test_product(self):
         result = run_experiment(ExperimentConfig(
             experiment="product", trials=60, seed=8))
-        assert result.pass_fraction == 1.0
-        assert result.extra_pass  # weaker single-marginal bound
+        assert checks(result)["slack"].passed
+        assert checks(result)["marginal"].passed
 
     def test_product_2x3(self):
         result = run_experiment(ExperimentConfig(
             experiment="product", trials=20, seed=9, dims=(2, 3)))
-        assert result.pass_fraction == 1.0
+        assert checks(result)["slack"].passed
 
     def test_lindblad(self):
         result = run_experiment(ExperimentConfig(
             experiment="lindblad", trials=60, seed=10))
-        assert result.pass_fraction == 1.0
+        assert checks(result)["slack"].passed
 
     def test_stein(self):
         result = run_experiment(ExperimentConfig(
             experiment="stein", n_max=4, epsilon=0.5))
-        assert result.extra_pass
-        assert [row["N"] for row in result.csv_rows] == [1, 2, 3, 4]
+        assert checks(result)["rate_trend"].passed
+        n_col = result.columns.index("N")
+        assert [row[n_col] for row in result.rows] == [1, 2, 3, 4]
 
     def test_kg_checks(self):
         result = run_experiment(ExperimentConfig(
             experiment="kg-checks", trials=30, seed=11, n_max=2))
         assert result.all_pass
-        assert all("violation_fraction" in row for row in result.csv_rows)
-
+        assert "violation_fraction" in result.columns
+        assert all(len(row) == len(result.columns) for row in result.rows)
 
 class TestRecords:
     def test_pass_recomputable_from_row(self):
@@ -109,11 +127,39 @@ class TestRecords:
             slack = float(cols[5])
             assert (slack >= -1e-9) == (cols[6] == "1")
 
-    def test_record_pass_flag(self):
-        rec = TrialRecord(trial=0, dim=2, m=1, s_before=1.0, s_after=1.5,
-                          slack_tol=1e-9)
-        assert rec.slack == -0.5
-        assert not rec.passed
+    def test_record_pass_flag(self, failing_product):
+        cols = failing_product.columns
+        row = dict(zip(cols, failing_product.rows[-1]))
+        assert row["trial"] == 745
+        assert row["slack"] == row["S_before"] - row["S_after"]
+        assert row["slack"] < -0.03
+        assert row["pass"] == 0
+
+
+class TestChecks:
+    def test_failing_check_names_itself(self, failing_product):
+        slack = checks(failing_product)["slack"]
+        assert not slack.passed
+        assert abs(slack.value - -0.0341) < 1e-4
+        assert slack.bound == -1e-9
+        assert checks(failing_product)["marginal"].passed
+        assert not failing_product.all_pass
+        text = summary(failing_product)
+        assert (f"check slack: FAIL, worst {slack.value:.3e}, "
+                f"bound {slack.bound:.3e}") in text
+        assert "check marginal: pass" in text
+        assert "hard checks pass: False" in text
+
+    def test_failing_run_exits_1(self, capsys):
+        assert main(["product", "--trials", "746", "--seed", "0"]) == 1
+        assert main(["product", "--trials", "745", "--seed", "0"]) == 0
+
+    def test_kg_checks_are_named(self):
+        result = run_experiment(ExperimentConfig(
+            experiment="kg-checks", trials=5, seed=11, n_max=1))
+        assert [c.name for c in result.checks] == [
+            "defining_property", "linearity", "idempotency",
+            "adjoint_expectations", "pairing_slack", "fixed_point"]
 
 
 class TestDeterminism:

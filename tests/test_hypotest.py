@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import macrolab.hypotest as hypotest
+from macrolab.entropy import von_neumann
 from macrolab.hypotest import (np_optimal_test, prob_eps_tensor,
                                stein_rate_series)
 from macrolab.operators import (LOG_SUPPORT_RTOL, apply_channel, eig,
@@ -18,6 +19,20 @@ KET1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 D91 = np.diag([0.9, 0.1]).astype(complex)
 UNIF = np.diag([0.5, 0.5]).astype(complex)
+BAD2 = np.array([[0.5, 1], [0, 0.5]], dtype=complex)
+BAD3 = np.array([[0.5, 1, 0], [0, 0.25, 0], [0, 0, 0.25]], dtype=complex)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: np_optimal_test(BAD2, UNIF, 0.5),
+    lambda: np_optimal_test(UNIF, BAD2, 0.5),
+    lambda: prob_eps_tensor(BAD2, UNIF, 0.5, 3),
+    lambda: prob_eps_tensor(np.eye(3) / 3, BAD3, 0.5, 2),
+    lambda: von_neumann(BAD2),
+], ids=["np-rho", "np-sigma", "tensor-qubit", "tensor-qutrit", "von-neumann"])
+def test_non_hermitian_input_rejected(call):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        call()
 
 
 class TestNPOptimalTest:
