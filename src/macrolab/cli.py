@@ -56,8 +56,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ValueError as exc:     # an invalid config is a usage error
+        parser.error(str(exc))
     result = run_experiment(config)
     if config.out:
         write_csv(result, config.out)

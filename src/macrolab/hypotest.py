@@ -10,12 +10,19 @@ One threshold search serves every caller.  It runs on weighted blocks
 and sigma likewise, and minimizes sum_b m_b tr(sigma_b Gamma_b) subject to
 sum_b m_b tr(rho_b Gamma_b) >= eps.  A single pair is one block with m = 1.
 
-N copies of a qubit pair are searched on their Schur-Weyl blocks
-(Keyl-Werner 2001): rho^(x)N = (+)_k det(rho)^k Sym^(N-2k)(rho) (x) 1_{m_k},
-m_k = C(N,k) - C(N,k-1), and sigma the same in the same basis.  The problem
-is permutation-invariant, so an optimal test is block-diagonal as well.
-Blocks have size at most N+1, so N is not bounded by DIM_CAP.  In dimension
-d > 2 the dense tensor power, capped at DIM_CAP, is the single block.
+N copies of a pair in any dimension d are searched on their Schur-Weyl
+blocks (Keyl-Werner 2001 for qubits; Bacon-Chuang-Harrow 2006 in general):
+rho^(x)N = (+)_lam pi_lam(rho) (x) 1_{f^lam} over the partitions lam of N
+with at most d rows, where pi_lam is the irrep of U(d) and f^lam, the hook
+length count, is the dimension of the irrep of S_N.  The problem is
+permutation-invariant, so an optimal test is block-diagonal as well.
+pi_lam(rho) = det(rho)^lam_d pi_(lam - lam_d)(rho), so only irreps with at
+most d-1 rows are built, one box at a time: pi_nu(rho) = C^T (pi_mu(rho)
+(x) rho) C, where the real isometry C, an eigenspace of a Jucys-Murphy
+operator, does not depend on rho and is cached per dimension.  Blocks have
+size of order N^(d(d-1)/2) (at most N+1 for qubits), so N is not bounded by
+DIM_CAP.  Sigma's blocks are diagonal in its eigenbasis, and its support is
+decided on one copy.
 
 The search is scale-invariant.  It squares t to bracket the crossing,
 bisects log t down to a factor 2, then bisects t until
@@ -38,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import relative_entropy
-from .operators import (LOG_SUPPORT_RTOL, check_hermitian, eig,
-                        hermitian_part, tensor_power)
+from .operators import LOG_SUPPORT_RTOL, check_hermitian, eig, hermitian_part
 
 KERNEL_BAND = 1e-10    # relative to <v|rho_b + t sigma_b|v>
 RESIDUAL_MARGIN = 10   # times the eigenpair residual
@@ -193,66 +199,153 @@ def np_optimal_test(rho: np.ndarray, sigma: np.ndarray,
                         gamma_op=gammas[0])
 
 
-def _sym_powers(a: np.ndarray, n_max: int) -> list[np.ndarray]:
-    """Sym^n(a) for n = 0..n_max and a 2x2 matrix a.
+@dataclass(frozen=True)
+class _Irrep:
+    """pi_nu as a subspace of pi_mu (x) C^d, where mu = parent is nu less one
+    box; iso is the real isometry C whose columns span it."""
+    parent: tuple[int, ...]
+    iso: np.ndarray
+    weights: np.ndarray    # integer weight of each basis vector, (dim, d)
 
-    The basis of Sym^n is |n, j>, the normalized symmetric n-qubit state with
-    j copies of the first basis vector, j = 0..n.  Each power is built from
-    the one before: Sym^n(a) = E^dag (Sym^(n-1)(a) (x) a) E, where the
-    isometry E maps |n, j> to sqrt(j/n) |n-1, j-1> |0> +
-    sqrt((n-j)/n) |n-1, j> |1>.  Each step compresses a tensor product by an
-    isometry, so rounding stays relative to |a|^n; there is no cancelling
-    multinomial sum.  A diagonal a gives exactly diagonal powers.
+
+class _IrrepTower:
+    """The irreps pi_nu of U(d) with at most d-1 rows, level |nu| by level.
+
+    Level n is built from level n-1: pi_mu (x) C^d splits into the pi_nu,
+    nu = mu + one box, which are the eigenspaces of the Jucys-Murphy operator
+    X = sum_ab J^mu_ab (x) e_ba, where J^mu_ab represents the matrix unit
+    e_ab on pi_mu.  Its eigenvalue on pi_nu is the content (column - row) of
+    the added box.  X conserves the weight, so it is diagonalized per weight
+    sector and every basis vector is a weight vector.  Nothing here depends
+    on a state, so one tower serves every pair of its dimension; only the top
+    level's J are kept, to grow the next level.
     """
-    out = [np.ones((1, 1), dtype=a.dtype)]
-    for n in range(1, n_max + 1):
-        j = np.arange(n + 1)
-        up, dn = np.sqrt(j / n), np.sqrt((n - j) / n)
-        q = np.zeros((n + 2, n + 2), dtype=a.dtype)   # Sym^(n-1), zero-padded
-        q[1:-1, 1:-1] = out[-1]
-        out.append(a[0, 0] * np.outer(up, up) * q[:-1, :-1]
-                   + a[0, 1] * np.outer(up, dn) * q[:-1, 1:]
-                   + a[1, 0] * np.outer(dn, up) * q[1:, :-1]
-                   + a[1, 1] * np.outer(dn, dn) * q[1:, 1:])
-    return out
+
+    def __init__(self, d: int):
+        self.d = d
+        self.levels = [{(): _Irrep((), np.ones((1, 1)),
+                                   np.zeros((1, d), dtype=int))}]
+        self._gens = {(): np.zeros((d, d, 1, 1))}
+
+    def grow(self, n: int) -> None:
+        while len(self.levels) <= n:
+            self._grow()
+
+    def _grow(self) -> None:
+        d = self.d
+        level, gens = {}, {}
+        for mu, j_mu in self._gens.items():
+            parts = mu + (0,)
+            children = {}          # content of the added box -> nu
+            for i in range(min(len(parts), d - 1)):
+                if i == 0 or parts[i - 1] > parts[i]:
+                    nu = parts[:i] + (parts[i] + 1,) + parts[i + 1:]
+                    nu = tuple(p for p in nu if p)
+                    if nu not in level:
+                        children[parts[i] - i] = nu
+            if not children:
+                continue
+            dim = j_mu.shape[-1]
+            # X[(i, b), (j, a)] = J^mu_ab[i, j] in the basis |i> (x) |a>
+            x = j_mu.transpose(2, 1, 3, 0).reshape(dim * d, dim * d)
+            w = (self.levels[-1][mu].weights[:, None, :]
+                 + np.eye(d, dtype=int)).reshape(dim * d, d)
+            order = np.lexsort(w.T[::-1])
+            _, starts, sizes = np.unique(w[order], axis=0, return_index=True,
+                                         return_counts=True)
+            picked = {c: [] for c in children}   # (sector start, columns)
+            # one batched eigensolve per sector size
+            for k in np.unique(sizes):
+                first = starts[sizes == k]
+                idx = order[first[:, None] + np.arange(k)]
+                vals, vecs = np.linalg.eigh(x[idx[:, :, None],
+                                              idx[:, None, :]])
+                content = np.rint(vals).astype(int)
+                for c in children:
+                    sec, col = np.nonzero(content == c)
+                    block = np.zeros((len(sec), dim * d))
+                    block[np.arange(len(sec))[:, None], idx[sec]] = \
+                        vecs[sec, :, col]
+                    picked[c].append((first[sec], block))
+            # J^mu_ab (x) 1 + 1 (x) e_ab restricted to pi_nu, with C read as
+            # c3[i, a, :], the rows of |i> (x) |a>
+            for c, nu in children.items():
+                first = np.concatenate([f for f, _ in picked[c]])
+                keep = np.argsort(first, kind="stable")
+                iso = np.concatenate([b for _, b in picked[c]])[keep].T
+                c3 = iso.reshape(dim, d, -1)
+                ca = c3.transpose(1, 0, 2)          # ca[a] = c3[:, a, :]
+                level[nu] = _Irrep(mu, iso, w[order[first[keep]]])
+                gens[nu] = (iso.T @ (j_mu @ c3.reshape(dim, -1)).reshape(
+                    d, d, dim * d, -1)
+                    + ca.transpose(0, 2, 1)[:, None] @ ca[None])
+        self.levels.append(level)
+        self._gens = gens
+
+
+# one tower per dimension, grown on demand; its bases depend only on (d, n)
+_TOWERS: dict[int, _IrrepTower] = {}
+
+
+def _hook_count(lam: tuple[int, ...]) -> int:
+    """f^lam, the dimension of the irrep lam of S_N, by the hook lengths."""
+    cols = [sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0)]
+    hooks = math.prod(p - j + cols[j] - i - 1
+                      for i, p in enumerate(lam) for j in range(p))
+    return math.factorial(sum(lam)) // hooks
 
 
 def _schur_weyl_blocks(rho: np.ndarray, sigma: np.ndarray,
                        n: int) -> list[Block]:
-    """Blocks (m_k, det(rho)^k Sym^(n-2k)(rho), det(sigma)^k Sym^(n-2k)(sigma))
-    for k = 0..n//2, in sigma's eigenbasis, where sigma's blocks are diagonal.
+    """Blocks (f^lam, pi_lam(rho), pi_lam(sigma)) over lam |- n with at most
+    d rows, in sigma's eigenbasis.
 
-    A diagonal phase, which leaves sigma's blocks alone, makes rho real, so
-    every block is a real symmetric matrix.  Sigma's support is decided on one
-    copy, with the relative cutoff of relative_entropy; its kernel becomes
-    exact zeros in the blocks, while small products of its eigenvalues stay.
+    pi_lam(r) = det(r)^k pi_nu(r), k = lam_d, nu = lam - k, and pi_nu(r) =
+    C^T (pi_mu(r) (x) r) C from the tower.  Sigma's blocks are diagonal,
+    prod_a s_a^(w_a) over the weights w.  At d = 2 a diagonal phase, which
+    leaves sigma alone, makes rho real, so every block is real.  Sigma's
+    support is decided on one copy, with the relative cutoff of
+    relative_entropy; its kernel becomes exact zeros in the blocks, while
+    small products of its eigenvalues stay.
     """
+    d = rho.shape[0]
+    tower = _TOWERS.setdefault(d, _IrrepTower(d))
+    tower.grow(n)
     w_s, v_s = eig(sigma)
     w_s = np.where(w_s > LOG_SUPPORT_RTOL * w_s[-1], w_s, 0.0)
-    r = v_s.conj().T @ rho @ v_s
-    off = abs(r[0, 1] + r[1, 0].conjugate()) / 2
-    r = np.array([[r[0, 0].real, off], [off, r[1, 1].real]])
-    det_r = r[0, 0] * r[1, 1] - off * off
-    det_s = w_s[0] * w_s[1]
-    sym_r, sym_s = _sym_powers(r, n), _sym_powers(np.diag(w_s), n)
-    return [(float(math.comb(n, k) - (math.comb(n, k - 1) if k else 0)),
-             det_r ** k * sym_r[n - 2 * k], det_s ** k * sym_s[n - 2 * k])
-            for k in range(n // 2 + 1)]
+    r = hermitian_part(v_s.conj().T @ rho @ v_s)
+    if d == 2:
+        off = abs(r[0, 1])
+        r = np.array([[r[0, 0].real, off], [off, r[1, 1].real]])
+    det_r = np.linalg.det(r).real
+    images = {(): np.ones((1, 1), dtype=r.dtype)}      # pi_nu(r), |nu| = size
+    kept = {}
+    for size in range(n + 1):
+        if size:
+            images = {nu: irrep.iso.T @ np.kron(images[irrep.parent], r)
+                      @ irrep.iso
+                      for nu, irrep in tower.levels[size].items()}
+        if (n - size) % d == 0:
+            kept[size] = images
+    blocks = []
+    for k in range(n // d + 1):
+        size = n - d * k
+        for nu, image in kept[size].items():
+            lam = tuple(p + k for p in nu + (0,) * (d - 1 - len(nu))) + (k,)
+            weights = tower.levels[size][nu].weights + k
+            blocks.append((float(_hook_count(tuple(p for p in lam if p))),
+                           det_r ** k * image,
+                           np.diag(np.prod(w_s ** weights, axis=1))))
+    return blocks
 
 
 def prob_eps_tensor(rho: np.ndarray, sigma: np.ndarray, eps: float,
                     n: int) -> float:
-    """Optimal error probability on n tensor copies.
-
-    Qubit pairs are searched on their Schur-Weyl blocks; larger dimensions on
-    the dense tensor power, which tensor_power caps at DIM_CAP.
-    """
+    """Optimal error probability on n tensor copies, searched on their
+    Schur-Weyl blocks."""
     _check_pair(rho, sigma, eps)
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
-    if rho.shape != (2, 2):
-        return np_optimal_test(tensor_power(rho, n), tensor_power(sigma, n),
-                               eps).prob
     return _np_search(_schur_weyl_blocks(rho, sigma, n), eps, 0.0)[0]
 
 

@@ -51,8 +51,8 @@ class ObservableSet:
             if g.shape[0] != self.dim:
                 raise ValueError(f"observable dim {g.shape[0]} != {self.dim}")
         ops = [np.eye(self.dim, dtype=complex)] + list(self.members)
-        gram = np.array([[np.trace(a.conj().T @ b).real for b in ops]
-                         for a in ops])
+        # tr(a^dag b) = sum_ij conj(a_ij) b_ij, in O(d^2)
+        gram = np.array([[np.vdot(a, b).real for b in ops] for a in ops])
         cond = np.linalg.cond(gram)
         if cond > GRAM_COND_MAX:
             raise ValueError(
@@ -63,7 +63,8 @@ class ObservableSet:
         return len(self.members)
 
     def expectations(self, rho: np.ndarray) -> np.ndarray:
-        return np.array([np.trace(g @ rho).real for g in self.members])
+        # tr(g rho) = sum_ij g_ij rho_ji, in O(d^2)
+        return np.array([(g * rho.T).sum().real for g in self.members])
 
     def to_json(self) -> dict:
         return {"dim": self.dim,

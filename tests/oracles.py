@@ -1,5 +1,6 @@
 """Independent oracles and helpers used only by the test suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -74,14 +75,28 @@ def classical_np_oracle(p, q, eps):
 
 
 def type_class_oracle(p, q, n, eps):
-    """Exact NP on n copies of diag(p, 1-p) against diag(q, 1-q).
+    """Exact NP on n copies of diag(p) against diag(q).
 
-    The n+1 type classes (j copies of the first outcome) share one
-    likelihood ratio each, so the classical test runs on their masses.
+    p and q are the d outcome probabilities; a scalar stands for the qubit
+    diag(p, 1-p).  The C(n+d-1, d-1) type classes (k_a copies of outcome a)
+    share one likelihood ratio each, so the classical test runs on their
+    masses.
     """
-    pn = [math.comb(n, j) * p ** j * (1 - p) ** (n - j) for j in range(n + 1)]
-    qn = [math.comb(n, j) * q ** j * (1 - q) ** (n - j) for j in range(n + 1)]
-    return classical_np_oracle(pn, qn, eps)
+    p = (p, 1 - p) if np.isscalar(p) else tuple(p)
+    q = (q, 1 - q) if np.isscalar(q) else tuple(q)
+
+    def mass(probs, counts):
+        out = math.factorial(n)
+        for k in counts:
+            out //= math.factorial(k)
+        for x, k in zip(probs, counts):
+            out *= x ** k
+        return out
+
+    types = [k for k in itertools.product(range(n + 1), repeat=len(p))
+             if sum(k) == n]
+    return classical_np_oracle([mass(p, k) for k in types],
+                               [mass(q, k) for k in types], eps)
 
 
 def sampled_gamma_bound(rho: np.ndarray, sigma: np.ndarray, eps: float,

@@ -200,6 +200,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.startswith("trial,dim,m,")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["stein", "--n-max", "0"], "n_max must be >= 1"),
+        (["product", "--dims", "1", "3"], "dims"),
+    ])
+    def test_invalid_config_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: macrolab" in err and message in err
+        assert "Traceback" not in err
+
     def test_summary_format(self):
         result = run_experiment(ExperimentConfig(
             experiment="lindblad", trials=5, seed=1))

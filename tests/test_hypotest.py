@@ -296,3 +296,58 @@ class TestSchurWeylBlocks:
         # eigenvectors in the computational basis carry absolute rounding, so
         # probabilities far below 1 agree to an absolute floor, not relatively
         assert abs(block - dense) <= 1e-9 * dense + 1e-14
+
+
+class TestGeneralSchurWeylBlocks:
+    """The blocks (f^lam, pi_lam(rho), pi_lam(sigma)) in every dimension."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dimension_and_trace(self, d):
+        rho = random_density(20 + d, d)
+        sigma = random_density(20 + d, d, index=1)
+        for n in range(1, 9):
+            blocks = hypotest._schur_weyl_blocks(rho, sigma, n)
+            assert sum(m * r.shape[0] for m, r, _ in blocks) == d ** n
+            for which in (1, 2):
+                total = sum(b[0] * np.trace(b[which]).real for b in blocks)
+                assert abs(total - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("d, seed, n_max", [(3, 42, 5), (3, 7, 5),
+                                                (4, 42, 3)])
+    def test_matches_dense_non_commuting(self, d, seed, n_max):
+        rho = random_density(seed, d)
+        sigma = random_density(seed, d, index=1)
+        for n in range(1, n_max + 1):
+            rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
+            for eps in (0.2, 0.5, 0.9):
+                dense = np_optimal_test(rho_n, sigma_n, eps).prob
+                assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
+                               dense) <= 1e-10
+
+    @pytest.mark.parametrize("p, q", [((0.5, 0.3, 0.2), (0.2, 0.3, 0.5)),
+                                      ((0.7, 0.2, 0.1), (0.4, 0.35, 0.25))])
+    def test_commuting_qutrits_match_type_classes(self, p, q):
+        u = random_unitary(4, 3)     # a shared eigenbasis off the standard one
+        for rho, sigma in ((np.diag(p).astype(complex),
+                            np.diag(q).astype(complex)),
+                           (u @ np.diag(p) @ u.conj().T,
+                            u @ np.diag(q) @ u.conj().T)):
+            for n in (1, 4, 7):
+                for eps in (0.2, 0.5, 0.9):
+                    assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
+                                   type_class_oracle(p, q, n, eps)) <= 1e-9
+
+    def test_commuting_qutrits_beyond_dim_cap(self):
+        # 3^10 = 59049 > DIM_CAP: no dense tensor power is built
+        p, q = (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)
+        rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
+        assert rel_err(prob_eps_tensor(rho, sigma, 0.5, 10),
+                       type_class_oracle(p, q, 10, 0.5)) <= 1e-9
+
+    def test_sigma_support_decided_on_one_copy(self):
+        # (1e-5)^3 is far below the relative cutoff on 3 copies, not on one;
+        # the best test takes 0.02 * 27 of |000> in sigma's eigenbasis
+        u = random_unitary(0, 3)
+        sigma = u @ np.diag([1e-5, 0.5 - 5e-6, 0.5 - 5e-6]) @ u.conj().T
+        prob = prob_eps_tensor(np.eye(3) / 3, sigma, 0.02, 3)
+        assert rel_err(prob, 0.02 * 27 * 1e-15) <= 1e-9
