@@ -1,7 +1,10 @@
 """Von Neumann entropy and quantum relative entropy, in nats.
 
-Relative entropy returns math.inf when supp(rho) is not contained in
-supp(sigma); report writers serialize that sentinel as the string "inf".
+relative_entropy takes one pair of d x d operators or two stacks
+(..., d, d) of them, and returns a float for one pair and an array over the
+stack otherwise; element i of a stack is the value of pair i alone.  It
+returns math.inf when supp(rho) is not contained in supp(sigma); report
+writers serialize that sentinel as the string "inf".
 """
 
 from __future__ import annotations
@@ -10,39 +13,57 @@ import math
 
 import numpy as np
 
-from .operators import (LOG_SUPPORT_RTOL, PSD_ATOL, check_hermitian, eig,
-                        op_log_on_support)
+from .operators import LOG_SUPPORT_RTOL, PSD_ATOL, check_hermitian, eig
 
 SUPPORT_LEAK_TOL = 1e-10
+
+
+def _support(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues above LOG_SUPPORT_RTOL relative to the largest one, along
+    the last axis; the rest is kernel."""
+    return w > LOG_SUPPORT_RTOL * np.maximum(w[..., -1:], 0.0)
 
 
 def von_neumann(rho: np.ndarray) -> float:
     """-sum w ln w over the spectrum, with 0 ln 0 = 0.
 
     Eigenvalues at or below LOG_SUPPORT_RTOL relative to the largest one are
-    kernel, as in op_log_on_support.  Rejects non-Hermitian input.
+    kernel.  Rejects non-Hermitian input.
     """
     check_hermitian(rho)
     w = np.linalg.eigvalsh(rho)
-    w = w[w > LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)]
+    w = w[_support(w)]
     return float(-np.sum(w * np.log(w)))
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray):
     """tr(rho ln rho - rho ln sigma); math.inf on support violation.
 
     sigma is eigensolved once: with rho's weight p_j = <v_j|rho|v_j> on each
     eigenvector, the kernel leak is sum p_j over the kernel and
-    tr(rho ln sigma) = sum p_j ln w_j over the support.
+    tr(rho ln sigma) = sum p_j ln w_j over the support; tr(rho ln rho) is
+    sum r ln r over rho's spectrum on its support.  A pair whose leak
+    exceeds SUPPORT_LEAK_TOL is inf; otherwise an eigenvalue of rho, then of
+    sigma, below -PSD_ATOL is an error, reported for the first such pair of
+    a stack.  Rejects non-Hermitian input.
     """
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    check_hermitian(rho)
+    check_hermitian(sigma)
+    r = np.linalg.eigvalsh(rho)
     w, v = eig(sigma)
-    support = w > LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)
-    p = np.sum(v.conj() * (rho @ v), axis=0).real
-    if np.sum(p[~support]) > SUPPORT_LEAK_TOL:
-        return math.inf
-    rho_log_rho = np.einsum("ij,ji->", rho, op_log_on_support(rho)).real
-    if w[0] < -PSD_ATOL:
-        raise ValueError(f"log of a non-PSD operator (eigenvalue {w[0]:.3e})")
-    return float(rho_log_rho - np.sum(p[support] * np.log(w[support])))
+    support = _support(w)
+    p = np.sum(v.conj() * (rho @ v), axis=-2).real
+    leak = np.sum(np.where(support, 0.0, p), axis=-1) > SUPPORT_LEAK_TOL
+    bad = ~leak & ((r[..., 0] < -PSD_ATOL) | (w[..., 0] < -PSD_ATOL))
+    if np.any(bad):
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        low = r[i][0] if r[i][0] < -PSD_ATOL else w[i][0]
+        raise ValueError(f"log of a non-PSD operator (eigenvalue {low:.3e})")
+    rho_log_rho = np.sum(np.where(_support(r), r * np.log(np.where(
+        _support(r), r, 1.0)), 0.0), axis=-1)
+    rho_log_sigma = np.sum(np.where(support, p * np.log(np.where(
+        support, w, 1.0)), 0.0), axis=-1)
+    out = np.where(leak, math.inf, rho_log_rho - rho_log_sigma)
+    return float(out) if out.ndim == 0 else out

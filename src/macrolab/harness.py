@@ -2,11 +2,16 @@
 
 Each experiment draws everything it needs from per-trial RNG streams derived
 from (seed, trial index), so results are identical regardless of execution
-order.  A run is one shape for every experiment: named columns, rows of raw
-values, and named hard checks.  The four sweeps share the columns
-trial, dim, m, S_before, S_after, slack, pass; stein and kg-checks have their
-own.  Each check reports the worst value over the run, the bound it was
-compared with, and whether every comparison held.
+order.  The four sweeps draw per trial and compute on stacks: trials are
+grouped by dimension, each group is fitted and compared by a few stacked
+calls of maxent.fit_stack and relative_entropy instead of one call per
+trial, and rows come out in trial order.  A stacked result is bit-identical
+to the result computed alone, so a run of T trials gives the first T rows
+of any longer run.  A run is one shape for every experiment: named columns,
+rows of raw values, and named hard checks.  The four sweeps share the
+columns trial, dim, m, S_before, S_after, slack, pass; stein and kg-checks
+have their own.  Each check reports the worst value over the run, the bound
+it was compared with, and whether every comparison held.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarsegrain import (canonical_coarse_grain, epsilon_choices, gamma_n,
-                          kg_apply_observable, kg_apply_state, kg_build,
-                          positivity_diagnostic, product_coarse_grain)
+from .coarsegrain import (epsilon_choices, gamma_n, kg_apply_observable,
+                          kg_apply_state, kg_build, positivity_diagnostic,
+                          product_coarse_grain)
 from .entropy import relative_entropy
 from .hypotest import stein_rate_series
-from .maxent import InfeasibleTargetError, ObservableSet
-from .operators import (apply_channel, partial_trace, random_density,
+from .maxent import (InfeasibleTargetError, ObservableSet, expectations,
+                     fit_stack)
+from .operators import (apply_channel, dagger, partial_trace, random_density,
                         random_kraus, random_observables, random_test_operator,
                         random_unitary, tensor_power)
 
@@ -107,27 +113,53 @@ def _sweep_result(config: ExperimentConfig, trials: list[tuple],
     return RunResult(config, SWEEP_COLUMNS, rows, [slack, *extra], redraws)
 
 
-def _trial_dim(config: ExperimentConfig, trial: int,
-               cycle=(2, 3, 4)) -> int:
-    return config.dim if config.dim is not None else cycle[trial % len(cycle)]
+def _dim_groups(config: ExperimentConfig) -> list[tuple[int, np.ndarray]]:
+    """(d, its trials in ascending order) for every dimension d in use:
+    config.dim for every trial, or else d cycling through 2, 3, 4."""
+    if config.dim is not None:
+        return [(config.dim, np.arange(config.trials))]
+    return [(d, np.arange(start, config.trials, 3))
+            for start, d in enumerate((2, 3, 4)) if start < config.trials]
 
 
-def _feasible_canonical(obs: ObservableSet, seed: int, trial: int,
-                        index0: int) -> tuple:
-    """Draw a state, measure it, fit: feasible by construction.
+def _observables(seed: int, d: int, m: int, indices) -> np.ndarray:
+    """The level of description of each trial, random_observables at its
+    index checked as an ObservableSet; members stacked (B, m, d, d)."""
+    return np.array([ObservableSet(d, tuple(random_observables(
+        seed, d, m, index=int(i)))).stacked for i in indices]
+                    ).reshape(len(indices), m, d, d)
 
-    Returns (canonical_state, redraw_count); redraws with fresh indices on the
-    rare near-extremal fit failure.
+
+def _densities(seed: int, d: int, indices) -> np.ndarray:
+    """random_density at each index, stacked (B, d, d)."""
+    return np.array([random_density(seed, d, index=int(i))
+                     for i in indices]).reshape(len(indices), d, d)
+
+
+def _feasible_fits(g: np.ndarray, seed: int,
+                   offset: int) -> tuple[np.ndarray, dict, int]:
+    """Draw a state per trial, measure it on the trial's members g[t], fit:
+    feasible by construction.
+
+    Trial t draws at index t * 1000 + offset + k, k = 0 first.  The rare
+    near-extremal fit failure is redrawn with the next k, refitting only the
+    failing trials, up to k = 19.  Returns the fitted states, the error of
+    each trial whose every draw failed, and the number of redraws.
     """
-    redraws = 0
+    d = g.shape[-1]
+    mu = np.empty((len(g), d, d), dtype=complex)
+    todo, redraws = np.arange(len(g)), 0
     for k in range(20):
-        rho = random_density(seed, obs.dim, index=trial * 1000 + index0 + k)
-        try:
-            return canonical_coarse_grain(rho, obs), redraws
-        except InfeasibleTargetError:
-            redraws += 1
-    raise InfeasibleTargetError(
-        f"could not draw a feasible target in trial {trial}")
+        fit = fit_stack(g[todo], expectations(
+            g[todo], _densities(seed, d, todo * 1000 + offset + k)))
+        mu[todo] = fit.mu
+        todo = todo[~fit.ok]
+        redraws += todo.size
+        if not todo.size:
+            break
+    lost = {int(t): InfeasibleTargetError(
+        f"could not draw a feasible target in trial {t}") for t in todo}
+    return mu, lost, redraws
 
 
 def run_process(config: ExperimentConfig) -> RunResult:
@@ -135,56 +167,65 @@ def run_process(config: ExperimentConfig) -> RunResult:
 
     Checks that relative entropy between the two final macrostates does not
     exceed that between the initial ones (slack), and the same for the
-    uniform reference state (second_law).
+    uniform reference state (second_law).  Trial by trial, the fits run in
+    the order mu_g, mu_gp, mu_f, mu_fp, and the first failure that is not
+    redrawn raises.
     """
-    trials, second_law, redraws = [], [], 0
-    for trial in range(config.trials):
-        d = _trial_dim(config, trial, cycle=(4,))
-        seed = config.seed
-        base = trial * 100
-        g_obs = ObservableSet(d, tuple(random_observables(
-            seed, d, config.m, index=base)))
-        f_obs = ObservableSet(d, tuple(random_observables(
-            seed, d, config.m, index=base + 1)))
-        mu_g, r1 = _feasible_canonical(g_obs, seed, trial, 0)
-        mu_gp, r2 = _feasible_canonical(g_obs, seed, trial, 100)
-        redraws += r1 + r2
-        u = random_unitary(seed, d, index=trial)
-        evolved = u @ mu_g.mu @ u.conj().T
-        evolved_p = u @ mu_gp.mu @ u.conj().T
-        mu_f = canonical_coarse_grain(evolved, f_obs)
-        mu_fp = canonical_coarse_grain(evolved_p, f_obs)
-        s_before = relative_entropy(mu_g.mu, mu_gp.mu)
-        s_after = relative_entropy(mu_f.mu, mu_fp.mu)
-        uniform = np.eye(d) / d
-        trials.append((trial, d, config.m, s_before, s_after))
-        second_law.append((relative_entropy(mu_g.mu, uniform)
-                           - relative_entropy(mu_f.mu, uniform),
-                           -config.slack_tol))
+    seed, n, m = config.seed, config.trials, config.m
+    d = config.dim if config.dim is not None else 4
+    g = _observables(seed, d, m, [t * 100 for t in range(n)])
+    # mu_g (draw offset 0), then mu_gp (offset 100)
+    prepared, failures, redraws = [], [], 0
+    for pos, offset in enumerate((0, 100)):
+        mu, lost, r = _feasible_fits(g, seed, offset)
+        prepared.append(mu)
+        failures += [(t, pos, err) for t, err in lost.items()]
+        redraws += r
+    kept = sorted(set(range(n)) - {t for t, _, _ in failures})
+    u = np.array([random_unitary(seed, d, index=t) for t in kept]
+                 ).reshape(len(kept), d, d)
+    f = _observables(seed, d, m, [t * 100 + 1 for t in kept])
+    # mu_f, then mu_fp
+    final = []
+    for pos, mu in enumerate(prepared, 2):
+        fit = fit_stack(f, expectations(f, u @ mu[kept] @ dagger(u)))
+        final.append(fit.mu)
+        failures += [(kept[i], pos, err) for i, err in enumerate(fit.errors)
+                     if err is not None]
+    if failures:
+        raise min(failures, key=lambda x: x[:2])[2]
+    (mu_g, mu_gp), (mu_f, mu_fp) = prepared, final
+    uniform = np.broadcast_to(np.eye(d) / d, mu_g.shape)
+    second_law = [(a - b, -config.slack_tol) for a, b in zip(
+        relative_entropy(mu_g, uniform).tolist(),
+        relative_entropy(mu_f, uniform).tolist())]
+    trials = list(zip(range(n), [d] * n, [m] * n,
+                      relative_entropy(mu_g, mu_gp).tolist(),
+                      relative_entropy(mu_f, mu_fp).tolist()))
     return _sweep_result(config, trials,
                          (_check("second_law", operator.ge, second_law),),
                          redraws)
 
 
 def run_monotonicity(config: ExperimentConfig) -> RunResult:
-    """Canonical coarse graining can only shrink relative entropy."""
-    trials, redraws = [], 0
-    for trial in range(config.trials):
-        d = _trial_dim(config, trial)
+    """Canonical coarse graining can only shrink relative entropy.  A trial
+    where either fit fails is skipped and counted as a redraw."""
+    seed, trials, redraws = config.seed, [], 0
+    for d, ts in _dim_groups(config):
         m = min(config.m, d * d - 1)
-        obs = ObservableSet(d, tuple(random_observables(
-            config.seed, d, m, index=trial)))
-        rho = random_density(config.seed, d, index=2 * trial)
-        sigma = random_density(config.seed, d, index=2 * trial + 1)
-        try:
-            cg_rho = canonical_coarse_grain(rho, obs)
-            cg_sigma = canonical_coarse_grain(sigma, obs)
-        except InfeasibleTargetError:
-            redraws += 1
-            continue
-        trials.append((trial, d, m, relative_entropy(rho, sigma),
-                       relative_entropy(cg_rho.mu, cg_sigma.mu)))
-    return _sweep_result(config, trials, redraws=redraws)
+        g = _observables(seed, d, m, ts)
+        g = np.concatenate([g, g])
+        rho = _densities(seed, d, 2 * ts)
+        sigma = _densities(seed, d, 2 * ts + 1)
+        fit = fit_stack(g, expectations(g, np.concatenate([rho, sigma])))
+        ok = np.logical_and(*np.split(fit.ok, 2))
+        redraws += int(np.sum(~ok))
+        cg_rho, cg_sigma = np.split(fit.mu, 2)
+        kept = ts[ok].tolist()
+        trials += zip(kept, [d] * len(kept), [m] * len(kept),
+                      relative_entropy(rho[ok], sigma[ok]).tolist(),
+                      relative_entropy(cg_rho[ok], cg_sigma[ok]).tolist())
+    return _sweep_result(config, sorted(trials), redraws=redraws)
 
 
 def run_product(config: ExperimentConfig) -> RunResult:
@@ -195,34 +236,36 @@ def run_product(config: ExperimentConfig) -> RunResult:
     """
     dims = config.dims if config.dims is not None else (2, 2)
     d = dims[0] * dims[1]
-    trials, marginal = [], []
-    for trial in range(config.trials):
-        rho = random_density(config.seed, d, index=2 * trial)
-        sigma = random_density(config.seed, d, index=2 * trial + 1)
-        s_full = relative_entropy(rho, sigma)
-        s_prod = relative_entropy(product_coarse_grain(rho, dims),
-                                  product_coarse_grain(sigma, dims))
-        s_marg = relative_entropy(partial_trace(rho, dims, "A"),
-                                  partial_trace(sigma, dims, "A"))
-        trials.append((trial, d, 0, s_full, s_prod))
-        marginal.append((s_full - s_marg, -config.slack_tol))
+    n = config.trials
+    rho = _densities(config.seed, d, 2 * np.arange(n))
+    sigma = _densities(config.seed, d, 2 * np.arange(n) + 1)
+    s_full = relative_entropy(rho, sigma).tolist()
+    s_prod = relative_entropy(product_coarse_grain(rho, dims),
+                              product_coarse_grain(sigma, dims)).tolist()
+    s_marg = relative_entropy(partial_trace(rho, dims, "A"),
+                              partial_trace(sigma, dims, "A")).tolist()
+    trials = list(zip(range(n), [d] * n, [0] * n, s_full, s_prod))
+    marginal = [(full - marg, -config.slack_tol)
+                for full, marg in zip(s_full, s_marg)]
     return _sweep_result(config, trials,
                          (_check("marginal", operator.ge, marginal),))
 
 
 def run_lindblad(config: ExperimentConfig) -> RunResult:
     """Lindblad monotonicity under random CPTP channels."""
-    trials = []
-    for trial in range(config.trials):
-        d = _trial_dim(config, trial)
-        n_kraus = 1 + trial % 4
-        kraus = random_kraus(config.seed, d, n_kraus, index=trial)
-        rho = random_density(config.seed, d, index=2 * trial)
-        sigma = random_density(config.seed, d, index=2 * trial + 1)
-        trials.append((trial, d, n_kraus, relative_entropy(rho, sigma),
-                       relative_entropy(apply_channel(rho, kraus),
-                                        apply_channel(sigma, kraus))))
-    return _sweep_result(config, trials)
+    seed, trials = config.seed, []
+    for d, ts in _dim_groups(config):
+        n_kraus = (1 + ts % 4).tolist()
+        rho = _densities(seed, d, 2 * ts)
+        sigma = _densities(seed, d, 2 * ts + 1)
+        kraus = [random_kraus(seed, d, k, index=int(t))
+                 for t, k in zip(ts, n_kraus)]
+        out = [np.array([apply_channel(x, k) for x, k in zip(states, kraus)])
+               for states in (rho, sigma)]
+        trials += zip(ts.tolist(), [d] * len(ts), n_kraus,
+                      relative_entropy(rho, sigma).tolist(),
+                      relative_entropy(*out).tolist())
+    return _sweep_result(config, sorted(trials))
 
 
 # Benchmark pair for the error-rate study: classical KL is known in closed

@@ -5,6 +5,15 @@ fit f_target -> lambda by damped Newton on the strictly convex dual
 logZ(lambda) - lambda . f_target, and the tangent operators dmu/df_a used by
 the coarse-graining projector.
 
+The forward map, the covariance and the Newton fit work on stacks: members
+(B, m, d, d), lambda and targets (B, m).  Each element goes through the
+arithmetic it would go through alone, so its result does not depend on what
+else is in the stack or where.  fit_stack runs one Newton loop over the
+stack and reports each element's outcome: a fitted state, or the
+InfeasibleTargetError that fit_maxent raises for that target alone.
+canonical_from_lambda, covariance and fit_maxent are the one-state case
+of the same code.
+
 The forward map is the only place the exponent A = sum_a lambda^a G_a is
 eigensolved.  The state carries the eigenpairs (w, v) of A, and everything
 downstream reads them: the covariance and the tangents share one table of
@@ -14,11 +23,12 @@ rotated once into A's eigenbasis, so neither solves A again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .operators import (check_hermitian, eig, exp_divided_differences,
+from .operators import (check_hermitian, dagger, eig, exp_divided_differences,
                         hermitian_part, operator_to_json, operator_from_json)
 
 GRAM_COND_MAX = 1e8
@@ -62,9 +72,14 @@ class ObservableSet:
     def size(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """The members as one (m, d, d) array."""
+        return np.array(self.members, dtype=complex).reshape(
+            self.size, self.dim, self.dim)
+
     def expectations(self, rho: np.ndarray) -> np.ndarray:
-        # tr(g rho) = sum_ij g_ij rho_ji, in O(d^2)
-        return np.array([(g * rho.T).sum().real for g in self.members])
+        return expectations(self.stacked, rho)
 
     def to_json(self) -> dict:
         return {"dim": self.dim,
@@ -94,7 +109,7 @@ class CanonicalState:
     @property
     def exponent(self) -> np.ndarray:
         """A = sum_a lambda^a G_a."""
-        return _exponent(self.observables, self.lam)
+        return _exponent(self.observables.stacked, self.lam)
 
     def to_json(self) -> dict:
         return {"observables": self.observables.to_json(),
@@ -109,49 +124,205 @@ class CanonicalState:
             ObservableSet.from_json(doc["observables"]), doc["lambda"])
 
 
-def _exponent(obs: ObservableSet, lam: np.ndarray) -> np.ndarray:
-    a = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for lam_a, g in zip(lam, obs.members):
-        a = a + lam_a * g
+def _exponent(g: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """A = sum_a lambda^a G_a over stacks g (..., m, d, d), lam (..., m)."""
+    a = np.zeros(g.shape[:-3] + g.shape[-2:], dtype=complex)
+    for k in range(g.shape[-3]):
+        a = a + lam[..., k, None, None] * g[..., k, :, :]
     return a
 
 
+def expectations(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """tr(G_a rho) = sum_ij (G_a)_ij rho_ji, in O(d^2), over stacks of
+    members g (..., m, d, d) and states rho (..., d, d)."""
+    rho_t = np.swapaxes(rho, -1, -2)[..., None, :, :]
+    return (g * rho_t).sum(axis=(-2, -1)).real
+
+
+def _forward(g: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(w, v, mu, f, logZ) at lambda over stacks, from one eigensolve of A
+    shifted by its top eigenvalue."""
+    w, v = eig(_exponent(g, lam))
+    shift = w[..., -1]
+    ew = np.exp(w - shift[..., None])
+    z = ew.sum(axis=-1)
+    mu = hermitian_part((v * (ew / z[..., None])[..., None, :]) @ dagger(v))
+    return w, v, mu, expectations(g, mu), shift + np.log(z)
+
+
 def canonical_from_lambda(obs: ObservableSet, lam) -> CanonicalState:
-    """Forward map: Lagrange parameters to the canonical state, from one
-    eigensolve of A shifted by its top eigenvalue."""
+    """Forward map: Lagrange parameters to the canonical state."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (obs.size,):
         raise ValueError(f"lambda length {lam.shape} != {obs.size}")
-    w, v = eig(_exponent(obs, lam))
-    shift = float(w[-1])
-    ew = np.exp(w - shift)
-    z = float(np.sum(ew))
-    mu = hermitian_part((v * (ew / z)) @ v.conj().T)
-    return CanonicalState(observables=obs, lam=lam, f=obs.expectations(mu),
-                          mu=mu, logZ=shift + float(np.log(z)),
-                          spectrum=(w, v))
+    w, v, mu, f, logz = _forward(obs.stacked[None], lam[None])
+    return CanonicalState(observables=obs, lam=lam, f=f[0], mu=mu[0],
+                          logZ=float(logz[0]), spectrum=(w[0], v[0]))
 
 
-def _kubo_table(cs: CanonicalState) -> tuple[np.ndarray, np.ndarray]:
-    """Kubo weights K and the rotated observables G~_a = v^dagger G_a v, so
-    that dmu/dlambda^a = v (K o G~_a) v^dagger - mu f_a.  K is formed at
-    w - w_max, so no exponential overflows."""
-    w, v = cs.spectrum
-    k = exp_divided_differences(w - w[-1]) / np.exp(cs.logZ - w[-1])
-    g = np.reshape(cs.observables.members, (-1, *v.shape))
-    return k, v.conj().T @ g @ v
+def _kubo_table(g: np.ndarray, w: np.ndarray, v: np.ndarray,
+                logz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kubo weights K and the rotated observables G~_a = v^dagger G_a v over
+    stacks, so that dmu/dlambda^a = v (K o G~_a) v^dagger - mu f_a.  K is
+    formed at w - w_max, so no exponential overflows."""
+    top = w[..., -1]
+    k = (exp_divided_differences(w - top[..., None])
+         / np.exp(logz - top)[..., None, None])
+    v = v[..., None, :, :]
+    return k, dagger(v) @ g @ v
+
+
+def _covariance(k: np.ndarray, gt: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """C_ab = tr(G_a dmu/dlambda^b) from the Kubo table, over stacks."""
+    c = (np.einsum("...ij,...aji,...bij->...ab", k, gt, gt).real
+         - f[..., :, None] * f[..., None, :])
+    return (c + np.swapaxes(c, -1, -2)) / 2
 
 
 def covariance(cs: CanonicalState) -> np.ndarray:
     """Kubo covariance C_ab = df_a/dlambda^b, symmetric positive definite."""
-    k, gt = _kubo_table(cs)
-    c = np.einsum("ij,aji,bij->ab", k, gt, gt).real - np.outer(cs.f, cs.f)
-    return (c + c.T) / 2
+    k, gt = _kubo_table(cs.observables.stacked, *cs.spectrum, cs.logZ)
+    return _covariance(k, gt, cs.f)
+
+
+@dataclass(frozen=True)
+class FitStack:
+    """Outcome of fit_stack; element i is the fit of targets[i] alone.
+
+    The arrays run over the stack (w, v: eigenpairs of the exponent).  For
+    an element that failed they hold its last iterate, and errors[i] is the
+    InfeasibleTargetError fit_maxent raises for it; None where it converged.
+    """
+    lam: np.ndarray
+    f: np.ndarray
+    mu: np.ndarray
+    logZ: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    residual: np.ndarray
+    errors: tuple[InfeasibleTargetError | None, ...]
+
+    @property
+    def ok(self) -> np.ndarray:
+        """True where the fit converged."""
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+    def state(self, i: int, obs: ObservableSet) -> CanonicalState:
+        """Element i as a CanonicalState on obs; raises its error if the
+        fit failed.  Boundary targets converge with huge parameters and a
+        nearly singular state; they are flagged near-extremal."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        lam, w = self.lam[i], self.w[i]
+        extremal = bool(np.max(np.abs(lam), initial=0.0) > 20
+                        or np.exp(w[0] - self.logZ[i]) < 1e-9)
+        return CanonicalState(observables=obs, lam=lam, f=self.f[i],
+                              mu=self.mu[i], logZ=float(self.logZ[i]),
+                              spectrum=(w, self.v[i]),
+                              fit_residual=float(self.residual[i]),
+                              near_extremal=extremal)
+
+
+def _newton_step(g: np.ndarray, state: list[np.ndarray],
+                 ft: np.ndarray) -> np.ndarray:
+    """Newton steps C^-1 (target - f) at the states (w, v, mu, f, logZ)."""
+    w, v, _, f, logz = state
+    c = _covariance(*_kubo_table(g, w, v, logz), f)
+    c += COV_REGULARIZATION * np.eye(ft.shape[1])
+    return np.linalg.solve(c, (ft - f)[..., None])[..., 0]
+
+
+def _line_search(g, ft, lam, dual, state, live, step) -> np.ndarray:
+    """Backtracking for the elements live: halve each element's step until
+    its dual decreases, at most 60 times.  Accepted elements are updated in
+    lam, dual and state in place; returns the positions in live that never
+    decreased."""
+    t = np.ones(live.size)
+    todo = np.arange(live.size)
+    for _ in range(60):
+        idx = live[todo]
+        lam_new = lam[idx] + t[todo, None] * step[todo]
+        new = _forward(g[idx], lam_new)
+        dual_new = new[4] - np.sum(lam_new * ft[idx], axis=-1)
+        # non-strict within rounding: near the optimum the true decrease is
+        # quadratic in the residual and falls below float resolution
+        ok = np.flatnonzero(
+            dual_new <= dual[idx] + 1e-14 * (1 + np.abs(dual[idx])))
+        done = idx[ok]
+        lam[done], dual[done] = lam_new[ok], dual_new[ok]
+        for arr, val in zip(state, new):
+            arr[done] = val[ok]
+        todo = np.delete(todo, ok)
+        if not todo.size:
+            break
+        t[todo] /= 2
+    return todo
+
+
+def fit_stack(members, targets, tol: float = 1e-10,
+              max_iter: int = 200) -> FitStack:
+    """Invert f(lambda) = targets[i] on members[i] for every i, by one damped
+    Newton loop over the stack (members (B, m, d, d), targets (B, m)).
+
+    Per element: stop when the residual max|f - target| <= tol; halve the
+    step until the dual decreases, and count 60 halvings without a decrease
+    as a stall; |lambda| > LAMBDA_DIVERGENCE after a step is divergence;
+    after max_iter steps the residual decides between converged and stalled.
+    An element leaves the loop as soon as its outcome is known.
+    """
+    g = np.asarray(members, dtype=complex)
+    ft = np.asarray(targets, dtype=float)
+    if g.ndim != 4 or ft.shape != g.shape[:2]:
+        raise ValueError(f"members {g.shape} and targets {ft.shape} do not "
+                         "form stacks (B, m, d, d) and (B, m)")
+    if not np.all(np.isfinite(ft)):
+        raise ValueError("target expectation values must be finite")
+    lam = np.zeros(ft.shape)
+    state = _forward(g, lam)                      # w, v, mu, f, logZ
+    dual = state[4] - np.sum(lam * ft, axis=-1)
+    resid = np.zeros(len(ft))
+    errors: list[InfeasibleTargetError | None] = [None] * len(ft)
+
+    def residual(idx):
+        return np.max(np.abs(state[3][idx] - ft[idx]), axis=-1, initial=0.0)
+
+    def fail(i, stalled):
+        target = ft[i].tolist()
+        errors[i] = InfeasibleTargetError(
+            (f"Newton fit stalled at residual {resid[i]:.3e} after "
+             f"{max_iter} iterations; target {target} appears infeasible "
+             "or near-extremal" if stalled else
+             f"Lagrange parameters diverged (|lambda| > "
+             f"{LAMBDA_DIVERGENCE:g}); target {target} appears infeasible")
+            + _extremal_note(g[i], ft[i]))
+
+    live = np.arange(len(ft))
+    for _ in range(max_iter):
+        resid[live] = residual(live)
+        live = live[resid[live] > tol]
+        if not live.size:
+            break
+        step = _newton_step(g[live], [a[live] for a in state], ft[live])
+        todo = _line_search(g, ft, lam, dual, state, live, step)
+        for i in live[todo]:
+            fail(i, stalled=True)
+        live = np.delete(live, todo)
+        diverged = np.max(np.abs(lam[live]), axis=-1) > LAMBDA_DIVERGENCE
+        for i in live[diverged]:
+            fail(i, stalled=False)
+        live = live[~diverged]
+    resid[live] = residual(live)
+    for i in live[resid[live] > tol]:
+        fail(i, stalled=True)
+    w, v, mu, f, logz = state
+    return FitStack(lam=lam, f=f, mu=mu, logZ=logz, w=w, v=v, residual=resid,
+                    errors=tuple(errors))
 
 
 def fit_maxent(obs: ObservableSet, f_target, tol: float = 1e-10,
                max_iter: int = 200) -> CanonicalState:
-    """Invert f(lambda) = f_target by damped Newton on the convex dual.
+    """Invert f(lambda) = f_target by damped Newton on the convex dual; the
+    B = 1 case of fit_stack.
 
     The dual is logZ(lambda) - lambda . f_target; its gradient is
     f(lambda) - f_target, so the gradient norm doubles as the fit residual.
@@ -159,57 +330,13 @@ def fit_maxent(obs: ObservableSet, f_target, tol: float = 1e-10,
     f_target = np.atleast_1d(np.asarray(f_target, dtype=float))
     if f_target.shape != (obs.size,):
         raise ValueError(f"target length {f_target.shape} != {obs.size}")
-    if not np.all(np.isfinite(f_target)):
-        raise ValueError("target expectation values must be finite")
-
-    def finish(cs, resid):
-        # boundary targets converge with huge parameters and a nearly
-        # singular state; flag them as near-extremal
-        extremal = bool(np.max(np.abs(cs.lam), initial=0.0) > 20
-                        or np.exp(cs.spectrum[0][0] - cs.logZ) < 1e-9)
-        return replace(cs, fit_residual=resid, near_extremal=extremal)
-
-    lam = np.zeros(obs.size)
-    cs = canonical_from_lambda(obs, lam)
-    dual = cs.logZ - lam @ f_target
-    for _ in range(max_iter):
-        resid = float(np.max(np.abs(cs.f - f_target))) if obs.size else 0.0
-        if resid <= tol:
-            return finish(cs, resid)
-        c = covariance(cs) + COV_REGULARIZATION * np.eye(obs.size)
-        step = np.linalg.solve(c, f_target - cs.f)
-        # backtracking: halve until the dual decreases
-        t = 1.0
-        for _ in range(60):
-            lam_new = lam + t * step
-            cs_new = canonical_from_lambda(obs, lam_new)
-            dual_new = cs_new.logZ - lam_new @ f_target
-            # non-strict within rounding: near the optimum the true decrease
-            # is quadratic in the residual and falls below float resolution
-            if dual_new <= dual + 1e-14 * (1 + abs(dual)):
-                break
-            t /= 2
-        else:
-            break
-        lam, cs, dual = lam_new, cs_new, dual_new
-        if np.max(np.abs(lam)) > LAMBDA_DIVERGENCE:
-            raise InfeasibleTargetError(
-                f"Lagrange parameters diverged (|lambda| > {LAMBDA_DIVERGENCE:g}); "
-                f"target {f_target.tolist()} appears infeasible"
-                + _extremal_note(obs, f_target))
-    resid = float(np.max(np.abs(cs.f - f_target))) if obs.size else 0.0
-    if resid <= tol:
-        return finish(cs, resid)
-    raise InfeasibleTargetError(
-        f"Newton fit stalled at residual {resid:.3e} after {max_iter} "
-        f"iterations; target {f_target.tolist()} appears infeasible or "
-        "near-extremal" + _extremal_note(obs, f_target))
+    return fit_stack(obs.stacked[None], f_target[None], tol,
+                     max_iter).state(0, obs)
 
 
-def _extremal_note(obs: ObservableSet, f_target: np.ndarray) -> str:
+def _extremal_note(g: np.ndarray, f_target: np.ndarray) -> str:
     notes = []
-    for a, g in enumerate(obs.members):
-        w = np.linalg.eigvalsh(g)
+    for a, w in enumerate(np.linalg.eigvalsh(g)):
         lo, hi = float(w[0]), float(w[-1])
         if f_target[a] < lo + 1e-9 or f_target[a] > hi - 1e-9:
             notes.append(f"target[{a}]={f_target[a]:g} is outside or on the "
@@ -232,7 +359,7 @@ def state_derivatives(cs: CanonicalState) -> list[np.ndarray]:
         raise ValueError(f"covariance ill-conditioned (cond {cond:.3e}); "
                          "state too close to extremal")
     cinv = np.linalg.inv(c)
-    k, gt = _kubo_table(cs)
+    k, gt = _kubo_table(obs.stacked, *cs.spectrum, cs.logZ)
     _, v = cs.spectrum
     mixed = np.einsum("ab,bij->aij", cinv, gt)
     derivs = (v @ (k * mixed) @ v.conj().T

@@ -25,16 +25,23 @@ _TAG_TEST_OP = 5
 _TAG_KRAUS = 6
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    return (a + dagger(a)) / 2
 
 
 def max_asymmetry(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
 def check_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Reject anything but a Hermitian matrix, or a stack (..., d, d) of
+    them; for a stack the worst element is reported."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     asym = max_asymmetry(a)
     if asym > atol:
@@ -42,28 +49,14 @@ def check_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> None:
 
 
 def eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, or of a stack of them.
 
-    Returns (w, v) with eigenvalues w ascending and eigenvector columns v so
-    that h = v @ diag(w) @ v^dagger.  Rejects non-Hermitian input.
+    Returns (w, v) with eigenvalues w ascending along the last axis and
+    eigenvector columns v so that h = v @ diag(w) @ v^dagger.  Only the
+    Hermitian part of h is read: operators are validated where they enter
+    the library (check_hermitian), not on every solve.
     """
-    check_hermitian(h)
     return np.linalg.eigh(hermitian_part(h))
-
-
-def op_log_on_support(h: np.ndarray) -> np.ndarray:
-    """Matrix log of a PSD operator, restricted to its support.
-
-    Eigenvalues below LOG_SUPPORT_RTOL relative to the largest one are treated
-    as kernel and mapped to 0 in the eigenbasis.  An eigenvalue below -1e-10
-    is a domain error.
-    """
-    w, v = eig(h)
-    if w[0] < -PSD_ATOL:
-        raise ValueError(f"log of a non-PSD operator (eigenvalue {w[0]:.3e})")
-    cut = LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)
-    lw = np.where(w > cut, np.log(np.maximum(w, 1e-300)), 0.0)
-    return hermitian_part((v * lw) @ v.conj().T)
 
 
 def frechet_exp(a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -81,16 +74,18 @@ def frechet_exp(a: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def exp_divided_differences(w: np.ndarray) -> np.ndarray:
-    """Table (exp(w_i) - exp(w_j)) / (w_i - w_j) over a spectrum w.
+    """Table (exp(w_i) - exp(w_j)) / (w_i - w_j) over a spectrum w, or over
+    a stack (..., d) of spectra.
 
     Near-degenerate pairs (|w_i - w_j| < 1e-12) take the limit, the mean of
     exp(w_i) and exp(w_j).
     """
     ew = np.exp(w)
-    den = w[:, None] - w[None, :]
+    den = w[..., :, None] - w[..., None, :]
     small = np.abs(den) < 1e-12
-    return np.where(small, (ew[:, None] + ew[None, :]) / 2,
-                    (ew[:, None] - ew[None, :]) / np.where(small, 1.0, den))
+    return np.where(small, (ew[..., :, None] + ew[..., None, :]) / 2,
+                    (ew[..., :, None] - ew[..., None, :])
+                    / np.where(small, 1.0, den))
 
 
 def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
@@ -117,16 +112,17 @@ def embed_at_slot(ops_per_slot: list[np.ndarray]) -> np.ndarray:
 
 def partial_trace(rho_ab: np.ndarray, dims: tuple[int, int],
                   keep: str) -> np.ndarray:
-    """Partial trace of a bipartite operator; keep is 'A' or 'B'."""
+    """Partial trace of a bipartite operator, or of a stack (..., d, d) of
+    them; keep is 'A' or 'B'."""
     da, db = dims
-    if rho_ab.shape[0] != da * db:
-        raise ValueError(f"dimension mismatch: operator dim {rho_ab.shape[0]} "
+    if rho_ab.shape[-1] != da * db:
+        raise ValueError(f"dimension mismatch: operator dim {rho_ab.shape[-1]} "
                          f"!= {da}*{db}")
-    r = rho_ab.reshape(da, db, da, db)
+    r = rho_ab.reshape(*rho_ab.shape[:-2], da, db, da, db)
     if keep == "A":
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == "B":
-        return np.einsum("abac->bc", r)
+        return np.einsum("...abac->...bc", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -136,15 +132,6 @@ def pos_neg_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pos = hermitian_part((v * np.maximum(w, 0.0)) @ v.conj().T)
     neg = hermitian_part((v * np.maximum(-w, 0.0)) @ v.conj().T)
     return pos, neg
-
-
-def trace_norm(h: np.ndarray) -> float:
-    pos, neg = pos_neg_parts(h)
-    return float(np.trace(pos).real + np.trace(neg).real)
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    return 0.5 * trace_norm(rho - sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from macrolab.hypotest import np_optimal_test
-from macrolab.operators import (eig, frechet_exp, hermitian_part,
+from macrolab.operators import (LOG_SUPPORT_RTOL, PSD_ATOL, eig,
+                                frechet_exp, hermitian_part, pos_neg_parts,
                                 random_test_operator, tensor_power)
 
 
@@ -18,6 +19,30 @@ def _spectral_apply(h: np.ndarray, fn) -> np.ndarray:
 def op_exp(h: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian operator, via its spectrum."""
     return _spectral_apply(h, np.exp)
+
+
+def op_log_on_support(h: np.ndarray) -> np.ndarray:
+    """Matrix log of a PSD operator, restricted to its support.
+
+    Eigenvalues below LOG_SUPPORT_RTOL relative to the largest one are treated
+    as kernel and mapped to 0 in the eigenbasis.  An eigenvalue below -1e-10
+    is a domain error.
+    """
+    w, v = eig(h)
+    if w[0] < -PSD_ATOL:
+        raise ValueError(f"log of a non-PSD operator (eigenvalue {w[0]:.3e})")
+    cut = LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)
+    lw = np.where(w > cut, np.log(np.maximum(w, 1e-300)), 0.0)
+    return hermitian_part((v * lw) @ v.conj().T)
+
+
+def trace_norm(h: np.ndarray) -> float:
+    pos, neg = pos_neg_parts(h)
+    return float(np.trace(pos).real + np.trace(neg).real)
+
+
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    return 0.5 * trace_norm(rho - sigma)
 
 
 def depolarizing_kraus(dim: int) -> list[np.ndarray]:

@@ -14,9 +14,8 @@ from macrolab.coarsegrain import canonical_coarse_grain, product_coarse_grain
 from macrolab.harness import (ExperimentConfig, csv_lines, run_experiment)
 from macrolab.hypotest import np_optimal_test, stein_rate_series
 from macrolab.maxent import ObservableSet, canonical_from_lambda, fit_maxent
-from macrolab.operators import (random_density, random_observables,
-                                trace_distance)
-from oracles import sampled_gamma_bound
+from macrolab.operators import random_density, random_observables
+from oracles import sampled_gamma_bound, trace_distance
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 D91 = np.diag([0.9, 0.1]).astype(complex)

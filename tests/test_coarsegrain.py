@@ -10,7 +10,8 @@ from macrolab.entropy import relative_entropy
 from macrolab.maxent import ObservableSet, fit_maxent
 from macrolab.operators import (pos_neg_parts, random_density,
                                 random_observables, random_test_operator,
-                                tensor_power, trace_distance)
+                                tensor_power)
+from oracles import trace_distance
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import macrolab.hypotest as hypotest
-from macrolab.entropy import von_neumann
+from macrolab.entropy import relative_entropy, von_neumann
 from macrolab.hypotest import (np_optimal_test, prob_eps_tensor,
                                stein_rate_series)
 from macrolab.operators import (LOG_SUPPORT_RTOL, apply_channel, eig,
@@ -29,7 +29,12 @@ BAD3 = np.array([[0.5, 1, 0], [0, 0.25, 0], [0, 0, 0.25]], dtype=complex)
     lambda: prob_eps_tensor(BAD2, UNIF, 0.5, 3),
     lambda: prob_eps_tensor(np.eye(3) / 3, BAD3, 0.5, 2),
     lambda: von_neumann(BAD2),
-], ids=["np-rho", "np-sigma", "tensor-qubit", "tensor-qutrit", "von-neumann"])
+    lambda: relative_entropy(BAD2, UNIF),
+    lambda: relative_entropy(UNIF, BAD2),
+    lambda: relative_entropy(np.stack([UNIF, BAD2]), np.stack([UNIF, UNIF])),
+    lambda: relative_entropy(np.stack([UNIF, UNIF]), np.stack([D91, BAD2])),
+], ids=["np-rho", "np-sigma", "tensor-qubit", "tensor-qutrit", "von-neumann",
+        "rel-rho", "rel-sigma", "rel-stacked-rho", "rel-stacked-sigma"])
 def test_non_hermitian_input_rejected(call):
     with pytest.raises(ValueError, match="not Hermitian"):
         call()

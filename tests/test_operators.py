@@ -2,18 +2,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macrolab.operators import (apply_channel, eig, frechet_exp,
-                                hermitian_part, kraus_completeness_error,
-                                op_log_on_support, operator_from_json,
-                                operator_to_json, partial_trace,
-                                pos_neg_parts, random_density,
+from macrolab.operators import (apply_channel, check_hermitian, eig,
+                                frechet_exp, hermitian_part,
+                                kraus_completeness_error,
+                                operator_from_json, operator_to_json,
+                                partial_trace, pos_neg_parts, random_density,
                                 random_hermitian, random_kraus,
                                 random_observables, random_test_operator,
-                                random_unitary, tensor_power, trace_norm)
-from oracles import depolarizing_kraus, op_exp
+                                random_unitary, tensor_power)
+from oracles import depolarizing_kraus, op_exp, op_log_on_support, trace_norm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+class TestCheckHermitian:
+    # eig reads only the Hermitian part; operators are validated where they
+    # enter the library
+    def test_rejects_non_hermitian(self):
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="asymmetry"):
+            check_hermitian(bad)
+        with pytest.raises(ValueError, match="asymmetry"):
+            check_hermitian(np.stack([np.eye(2, dtype=complex), bad]))
+        check_hermitian(np.stack([np.eye(2, dtype=complex), SZ]))
+
+    def test_rejects_non_square(self):
+        for shape in ((3,), (2, 3), (4, 2, 3)):
+            with pytest.raises(ValueError, match="square"):
+                check_hermitian(np.zeros(shape))
 
 
 class TestEig:
@@ -30,10 +47,13 @@ class TestEig:
         w, v = eig(h)
         np.testing.assert_allclose((v * w) @ v.conj().T, h, atol=1e-10)
 
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError, match="asymmetry"):
-            eig(bad)
+    def test_stack_matches_each_element(self):
+        hs = np.stack([random_hermitian(s, 3) for s in range(5)])
+        w, v = eig(hs)
+        for h, wi, vi in zip(hs, w, v):
+            w1, v1 = eig(h)
+            np.testing.assert_array_equal(wi, w1)
+            np.testing.assert_array_equal(vi, v1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4, 8]))
