@@ -7,8 +7,9 @@ construction used here is first order around the canonical state:
 
     P_adj(tau) = mu^N + sum_a D_a^(N) (gbar_a(tau) - f_a)
 
-with D_a^(N) the one-slot insertions of dmu/df_a and gbar_a the copy-averaged
-expectation values.
+with gbar_a the copy-averaged expectation values and D_a^(N) = d/ds
+(mu + s D_a)^(tensor N) at s = 0, D_a = dmu/df_a; KGProjector.lift builds both
+once per call by one copy-sum recurrence.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxent import CanonicalState, ObservableSet, fit_maxent, state_derivatives
-from .operators import (embed_at_slot, hermitian_part, partial_trace,
-                        pos_neg_parts, random_test_operator, tensor_power)
+from .operators import (check_hermitian, hermitian_part, partial_trace,
+                        random_test_operator, tensor_power)
 
 
 def canonical_coarse_grain(rho: np.ndarray,
@@ -42,62 +43,71 @@ def product_coarse_grain(rho_ab: np.ndarray,
 
 @dataclass(frozen=True)
 class KGProjector:
-    """Kawasaki-Gunton projector data at fixed expectation values f."""
+    """Kawasaki-Gunton projector data at f; derivs stacks the tangents D_a."""
     observables: ObservableSet
     f: np.ndarray
     mu: np.ndarray
-    derivs: tuple[np.ndarray, ...]
+    derivs: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.observables.dim
 
-    def lifted_observable(self, a: int, n: int) -> np.ndarray:
-        """Copy-averaged observable (1/N) sum_k 1 x..x G_a x..x 1."""
-        g = self.observables.members[a]
-        eye = np.eye(self.dim, dtype=complex)
-        out = sum(embed_at_slot([g if j == k else eye for j in range(n)])
-                  for k in range(n))
-        return out / n
+    def lift(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The n-copy operators (mu^N, gbar, dbar): gbar[a] is the
+        copy-averaged G_a and dbar[a] the one-slot insertion of D_a."""
+        mu_n = tensor_power(self.mu, n)     # checks DIM_CAP before d^n work
+        gbar = _copy_sum(self.observables.stacked, np.eye(self.dim), n) / n
+        return mu_n, gbar, _copy_sum(self.derivs, self.mu, n)
 
-    def lifted_deriv(self, a: int, n: int) -> np.ndarray:
-        """One-slot insertion sum_k mu x..x D_a x..x mu."""
-        d = self.derivs[a]
-        return sum(embed_at_slot([d if j == k else self.mu for j in range(n)])
-                   for k in range(n))
+
+def _copy_sum(ops: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
+    """sum_k rest x..x ops x..x rest (ops in slot k) for a (m, d, d) stack,
+    by out <- out x rest + rest^k x ops."""
+    out, power = ops, rest
+    for _ in range(n - 1):
+        out = np.kron(out, rest)
+        out += np.kron(power, ops)
+        power = np.kron(power, rest)
+    return out
 
 
 def kg_build(obs: ObservableSet, f) -> KGProjector:
     """Fit the canonical state at f and assemble its tangent operators."""
     cs = fit_maxent(obs, np.atleast_1d(np.asarray(f, dtype=float)))
     return KGProjector(observables=obs, f=cs.f, mu=cs.mu,
-                       derivs=tuple(state_derivatives(cs)))
+                       derivs=state_derivatives(cs))
+
+
+def _check_operand(kg: KGProjector, op: np.ndarray, n: int, what: str) -> None:
+    if op.shape[0] != kg.dim ** n:
+        raise ValueError(f"{what} dim {op.shape[0]} != {kg.dim}^{n}")
+    check_hermitian(op)
+
+
+def _adjoint(kg: KGProjector, mu_n, gbar, dbar, tau) -> np.ndarray:
+    gbar_tau = np.einsum("aij,ji->a", gbar, tau).real
+    return hermitian_part(mu_n + np.tensordot(gbar_tau - kg.f, dbar, 1))
+
+
+def _project(kg: KGProjector, mu_n, gbar, dbar, gamma) -> np.ndarray:
+    coef = np.einsum("aij,ji->a", dbar, gamma)
+    scalar = np.einsum("ij,ji", mu_n, gamma) - coef @ kg.f
+    return hermitian_part(np.tensordot(coef, gbar, 1)
+                          + scalar * np.eye(len(gamma)))
 
 
 def kg_apply_state(kg: KGProjector, tau: np.ndarray, n: int) -> np.ndarray:
     """Adjoint action on a trace-1 Hermitian tau living on n copies."""
-    if tau.shape[0] != kg.dim ** n:
-        raise ValueError(f"tau dim {tau.shape[0]} != {kg.dim}^{n}")
-    out = tensor_power(kg.mu, n).astype(complex)
-    for a in range(kg.observables.size):
-        gbar = float(np.trace(kg.lifted_observable(a, n) @ tau).real)
-        out = out + kg.lifted_deriv(a, n) * (gbar - kg.f[a])
-    return hermitian_part(out)
+    _check_operand(kg, tau, n, "tau")
+    return _adjoint(kg, *kg.lift(n), tau)
 
 
 def kg_apply_observable(kg: KGProjector, gamma: np.ndarray,
                         n: int) -> np.ndarray:
     """The projector itself: P Gamma on the n-copy observable space."""
-    if gamma.shape[0] != kg.dim ** n:
-        raise ValueError(f"observable dim {gamma.shape[0]} != {kg.dim}^{n}")
-    dim_n = kg.dim ** n
-    eye = np.eye(dim_n, dtype=complex)
-    mu_n = tensor_power(kg.mu, n)
-    out = np.trace(mu_n @ gamma) * eye
-    for a in range(kg.observables.size):
-        coef = np.trace(kg.lifted_deriv(a, n) @ gamma)
-        out = out + coef * (kg.lifted_observable(a, n) - kg.f[a] * eye)
-    return hermitian_part(out)
+    _check_operand(kg, gamma, n, "observable")
+    return _project(kg, *kg.lift(n), gamma)
 
 
 @dataclass(frozen=True)
@@ -114,13 +124,13 @@ def positivity_diagnostic(kg: KGProjector, n: int, trials: int,
     """Measure how far P Gamma leaves [0, 1] on random test operators.
 
     Pure measurement; asserts nothing (positivity preservation has no known
-    certificate for this construction).
+    certificate for this construction).  One test operator is held at a time.
     """
-    dim_n = kg.dim ** n
+    lifted = kg.lift(n)
     lo, hi, violations = np.inf, -np.inf, 0
     for i in range(trials):
-        gamma = random_test_operator(seed, dim_n, index=i)
-        w = np.linalg.eigvalsh(kg_apply_observable(kg, gamma, n))
+        gamma = random_test_operator(seed, kg.dim ** n, index=i)
+        w = np.linalg.eigvalsh(_project(kg, *lifted, gamma))
         lo = min(lo, float(w[0]))
         hi = max(hi, float(w[-1]))
         if w[0] < -1e-9 or w[-1] > 1 + 1e-9:
@@ -135,10 +145,10 @@ def gamma_n(kg: KGProjector, rho: np.ndarray, n: int) -> float:
     With Delta = rho^N - P_adj(rho^N) the supremum equals
     max(tr Delta_+, tr Delta_-), attained by the sign projector of Delta.
     """
+    _check_operand(kg, rho, 1, "rho")
     rho_n = tensor_power(rho, n)
-    delta = rho_n - kg_apply_state(kg, rho_n, n)
-    pos, neg = pos_neg_parts(delta)
-    return max(float(np.trace(pos).real), float(np.trace(neg).real))
+    w = np.linalg.eigvalsh(rho_n - _adjoint(kg, *kg.lift(n), rho_n))
+    return max(float(np.sum(w[w > 0])), float(-np.sum(w[w < 0])))
 
 
 def epsilon_choices(gamma: float) -> tuple[float, float]:

@@ -344,24 +344,24 @@ def _extremal_note(g: np.ndarray, f_target: np.ndarray) -> str:
     return (" (" + "; ".join(notes) + ")") if notes else ""
 
 
-def state_derivatives(cs: CanonicalState) -> list[np.ndarray]:
-    """Tangent operators D_a = dmu/df_a, via the chain rule through lambda.
+def state_derivatives(cs: CanonicalState) -> np.ndarray:
+    """Tangent operators D_a = dmu/df_a as one (m, d, d) stack, via the chain
+    rule through lambda.
 
     Each D_a is Hermitian, traceless, and dual to the observables:
     tr(G_c D_a) = delta_ca.
     """
     obs = cs.observables
     if obs.size == 0:
-        return []
-    c = covariance(cs)
+        return np.zeros((0, obs.dim, obs.dim), dtype=complex)
+    k, gt = _kubo_table(obs.stacked, *cs.spectrum, cs.logZ)
+    c = _covariance(k, gt, cs.f)
     cond = np.linalg.cond(c)
     if cond > COV_COND_MAX:
         raise ValueError(f"covariance ill-conditioned (cond {cond:.3e}); "
                          "state too close to extremal")
     cinv = np.linalg.inv(c)
-    k, gt = _kubo_table(obs.stacked, *cs.spectrum, cs.logZ)
     _, v = cs.spectrum
     mixed = np.einsum("ab,bij->aij", cinv, gt)
-    derivs = (v @ (k * mixed) @ v.conj().T
-              - cs.mu * (cinv @ cs.f)[:, None, None])
-    return [hermitian_part(d) for d in derivs]
+    return hermitian_part(v @ (k * mixed) @ v.conj().T
+                          - cs.mu * (cinv @ cs.f)[:, None, None])

@@ -126,14 +126,6 @@ def partial_trace(rho_ab: np.ndarray, dims: tuple[int, int],
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def pos_neg_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral split h = P - M with P, M >= 0 and P M = 0."""
-    w, v = eig(h)
-    pos = hermitian_part((v * np.maximum(w, 0.0)) @ v.conj().T)
-    neg = hermitian_part((v * np.maximum(-w, 0.0)) @ v.conj().T)
-    return pos, neg
-
-
 # ---------------------------------------------------------------------------
 # Seeded random suite
 # ---------------------------------------------------------------------------

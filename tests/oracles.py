@@ -7,7 +7,7 @@ import numpy as np
 
 from macrolab.hypotest import np_optimal_test
 from macrolab.operators import (LOG_SUPPORT_RTOL, PSD_ATOL, eig,
-                                frechet_exp, hermitian_part, pos_neg_parts,
+                                embed_at_slot, frechet_exp, hermitian_part,
                                 random_test_operator, tensor_power)
 
 
@@ -34,6 +34,14 @@ def op_log_on_support(h: np.ndarray) -> np.ndarray:
     cut = LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)
     lw = np.where(w > cut, np.log(np.maximum(w, 1e-300)), 0.0)
     return hermitian_part((v * lw) @ v.conj().T)
+
+
+def pos_neg_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral split h = P - M with P, M >= 0 and P M = 0."""
+    w, v = eig(h)
+    pos = hermitian_part((v * np.maximum(w, 0.0)) @ v.conj().T)
+    neg = hermitian_part((v * np.maximum(-w, 0.0)) @ v.conj().T)
+    return pos, neg
 
 
 def trace_norm(h: np.ndarray) -> float:
@@ -79,6 +87,34 @@ def frechet_state_derivatives(cs) -> list[np.ndarray]:
     dmu = frechet_dmu_dlam(cs)
     return [hermitian_part(sum(cinv[a, b] * dmu[b] for b in range(len(dmu))))
             for a in range(len(dmu))]
+
+
+def lifted_observable(kg, a: int, n: int) -> np.ndarray:
+    """Copy-averaged observable (1/N) sum_k 1 x..x G_a x..x 1, one
+    Kronecker product per slot."""
+    g = kg.observables.members[a]
+    eye = np.eye(kg.dim, dtype=complex)
+    return sum(embed_at_slot([g if j == k else eye for j in range(n)])
+               for k in range(n)) / n
+
+
+def lifted_deriv(kg, a: int, n: int) -> np.ndarray:
+    """One-slot insertion sum_k mu x..x D_a x..x mu, one Kronecker product
+    per slot."""
+    return sum(embed_at_slot([kg.derivs[a] if j == k else kg.mu
+                              for j in range(n)])
+               for k in range(n))
+
+
+def kg_project(kg, gamma: np.ndarray, n: int) -> np.ndarray:
+    """P Gamma = tr(mu^N Gamma) 1 + sum_a tr(D_a^(N) Gamma)(gbar_a - f_a 1),
+    from the per-slot lifts."""
+    eye = np.eye(kg.dim ** n, dtype=complex)
+    out = np.trace(tensor_power(kg.mu, n) @ gamma) * eye
+    for a in range(kg.observables.size):
+        out = out + (np.trace(lifted_deriv(kg, a, n) @ gamma)
+                     * (lifted_observable(kg, a, n) - kg.f[a] * eye))
+    return hermitian_part(out)
 
 
 def classical_np_oracle(p, q, eps):

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,10 @@ from macrolab.coarsegrain import (KGProjector, canonical_coarse_grain,
                                   product_coarse_grain)
 from macrolab.entropy import relative_entropy
 from macrolab.maxent import ObservableSet, fit_maxent
-from macrolab.operators import (pos_neg_parts, random_density,
-                                random_observables, random_test_operator,
-                                tensor_power)
-from oracles import trace_distance
+from macrolab.operators import (DIM_CAP, random_density, random_observables,
+                                random_test_operator, tensor_power)
+from oracles import (kg_project, lifted_deriv, lifted_observable,
+                     pos_neg_parts, trace_distance)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -77,10 +80,51 @@ class TestKGBuild:
 
     def test_empty_set_degenerate(self):
         kg = kg_build(ObservableSet(2, ()), [])
-        gamma = random_test_operator(7, 2)
-        out = kg_apply_observable(kg, gamma, 1)
-        expected = np.trace(kg.mu @ gamma).real * np.eye(2)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        for n in (1, 2):
+            gamma = random_test_operator(7, 2 ** n)
+            out = kg_apply_observable(kg, gamma, n)
+            expected = (np.trace(tensor_power(kg.mu, n) @ gamma).real
+                        * np.eye(2 ** n))
+            np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+class TestKGLift:
+    def test_matches_per_slot_sums(self):
+        for dim in (2, 3):
+            for m in (1, 2):
+                obs = seeded_set(21, dim, m, index=m)
+                kg = kg_build(obs, obs.expectations(random_density(21, dim)))
+                for n in (1, 2, 3, 4):
+                    mu_n, gbar, dbar = kg.lift(n)
+                    assert gbar.shape == dbar.shape == (m, dim ** n, dim ** n)
+                    np.testing.assert_allclose(mu_n, tensor_power(kg.mu, n),
+                                               rtol=0, atol=1e-13)
+                    for a in range(m):
+                        np.testing.assert_allclose(
+                            gbar[a], lifted_observable(kg, a, n),
+                            rtol=0, atol=1e-13)
+                        np.testing.assert_allclose(
+                            dbar[a], lifted_deriv(kg, a, n),
+                            rtol=0, atol=1e-13)
+
+    def test_cap_checked_before_any_allocation(self):
+        kg = kg_build(seeded_set(22, 2, 1), [0.1])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exceeds cap {DIM_CAP}"):
+            positivity_diagnostic(kg, 13, trials=1, seed=0)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda kg, bad: kg_apply_state(kg, bad, 1),
+    lambda kg, bad: kg_apply_observable(kg, bad, 1),
+    lambda kg, bad: gamma_n(kg, bad, 2),
+], ids=["apply-state", "apply-observable", "gamma-n"])
+def test_non_hermitian_input_rejected(call):
+    kg = kg_build(seeded_set(23, 2, 1), [0.1])
+    bad = np.array([[0.5, 1], [0, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        call(kg, bad)
 
 
 class TestKGApplyState:
@@ -105,7 +149,7 @@ class TestKGApplyState:
         tau = random_density(10, 4)  # a correlated two-copy state
         out = kg_apply_state(kg, tau, 2)
         assert abs(np.trace(out).real - 1) < 1e-10
-        gbar = kg.lifted_observable(0, 2)
+        gbar = lifted_observable(kg, 0, 2)
         assert abs(np.trace(gbar @ out).real
                    - np.trace(gbar @ tau).real) < 1e-9
 
@@ -193,6 +237,32 @@ class TestPositivityDiagnostic:
         assert report.trials == 500
         assert 0.0 <= report.violation_fraction <= 1.0
         assert report.min_eig <= report.max_eig
+
+    def test_matches_per_trial_oracle(self):
+        # seed 25 puts P Gamma outside [0, 1] in some trials of the qubit cases
+        for dim, m, n in ((2, 1, 3), (2, 2, 2), (3, 2, 2)):
+            obs = seeded_set(25, dim, m, index=m)
+            kg = kg_build(obs, obs.expectations(
+                random_density(25, dim, index=5)))
+            report = positivity_diagnostic(kg, n, trials=30, seed=25)
+            eigs = [np.linalg.eigvalsh(kg_project(
+                kg, random_test_operator(25, dim ** n, index=i), n))
+                for i in range(30)]
+            violations = sum(w[0] < -1e-9 or w[-1] > 1 + 1e-9 for w in eigs)
+            assert report.n_copies == n and report.trials == 30
+            assert abs(report.min_eig - min(w[0] for w in eigs)) < 1e-12
+            assert abs(report.max_eig - max(w[-1] for w in eigs)) < 1e-12
+            assert report.violation_fraction == violations / 30
+
+    def test_peak_memory_independent_of_trials(self):
+        kg = kg_build(seeded_set(25, 2, 1), [0.1])
+        peaks = []
+        for trials in (2, 40):
+            tracemalloc.start()
+            positivity_diagnostic(kg, 7, trials=trials, seed=25)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestGammaN:

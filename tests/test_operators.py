@@ -6,11 +6,12 @@ from macrolab.operators import (apply_channel, check_hermitian, eig,
                                 frechet_exp, hermitian_part,
                                 kraus_completeness_error,
                                 operator_from_json, operator_to_json,
-                                partial_trace, pos_neg_parts, random_density,
+                                partial_trace, random_density,
                                 random_hermitian, random_kraus,
                                 random_observables, random_test_operator,
                                 random_unitary, tensor_power)
-from oracles import depolarizing_kraus, op_exp, op_log_on_support, trace_norm
+from oracles import (depolarizing_kraus, op_exp, op_log_on_support,
+                     pos_neg_parts, trace_norm)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
