@@ -9,7 +9,10 @@ construction used here is first order around the canonical state:
 
 with gbar_a the copy-averaged expectation values and D_a^(N) = d/ds
 (mu + s D_a)^(tensor N) at s = 0, D_a = dmu/df_a; KGProjector.lift builds both
-once per call by one copy-sum recurrence.
+once per call by one copy-sum recurrence.  The observable side works on stacks
+(..., D, D): positivity_diagnostic draws, projects and eigensolves its test
+operators in chunks of at most _CHUNK_ENTRIES matrix entries, so its peak
+memory is that of one chunk whatever the number of trials.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ import numpy as np
 
 from .maxent import CanonicalState, ObservableSet, fit_maxent, state_derivatives
 from .operators import (check_hermitian, hermitian_part, partial_trace,
-                        random_test_operator, tensor_power)
+                        random_test_operators, tensor_power)
+
+# test operators held at once by positivity_diagnostic, in matrix entries
+_CHUNK_ENTRIES = 2 ** 14
 
 
 def canonical_coarse_grain(rho: np.ndarray,
@@ -80,32 +86,38 @@ def kg_build(obs: ObservableSet, f) -> KGProjector:
 
 
 def _check_operand(kg: KGProjector, op: np.ndarray, n: int, what: str) -> None:
-    if op.shape[0] != kg.dim ** n:
-        raise ValueError(f"{what} dim {op.shape[0]} != {kg.dim}^{n}")
+    if op.shape[-1] != kg.dim ** n:
+        raise ValueError(f"{what} dim {op.shape[-1]} != {kg.dim}^{n}")
     check_hermitian(op)
 
 
-def _adjoint(kg: KGProjector, mu_n, gbar, dbar, tau) -> np.ndarray:
-    gbar_tau = np.einsum("aij,ji->a", gbar, tau).real
+def _adjoint(kg: KGProjector, mu_n, dbar, gbar_tau) -> np.ndarray:
+    """P_adj(tau) from the copy-averaged expectations gbar_tau of tau."""
     return hermitian_part(mu_n + np.tensordot(gbar_tau - kg.f, dbar, 1))
 
 
 def _project(kg: KGProjector, mu_n, gbar, dbar, gamma) -> np.ndarray:
-    coef = np.einsum("aij,ji->a", dbar, gamma)
-    scalar = np.einsum("ij,ji", mu_n, gamma) - coef @ kg.f
-    return hermitian_part(np.tensordot(coef, gbar, 1)
-                          + scalar * np.eye(len(gamma)))
+    """P Gamma for one observable or a stack (..., D, D) of them; the
+    pairings tr(D_a^(N) Gamma) of every element are one matrix product."""
+    dim_n, m = gamma.shape[-1], len(kg.f)
+    gamma_t = np.swapaxes(gamma, -1, -2).reshape(*gamma.shape[:-2], dim_n ** 2)
+    coef = gamma_t @ dbar.reshape(m, dim_n ** 2).T
+    scalar = gamma_t @ mu_n.reshape(dim_n ** 2) - coef @ kg.f
+    out = (coef @ gbar.reshape(m, dim_n ** 2)).reshape(gamma.shape)
+    return hermitian_part(out + scalar[..., None, None] * np.eye(dim_n))
 
 
 def kg_apply_state(kg: KGProjector, tau: np.ndarray, n: int) -> np.ndarray:
     """Adjoint action on a trace-1 Hermitian tau living on n copies."""
     _check_operand(kg, tau, n, "tau")
-    return _adjoint(kg, *kg.lift(n), tau)
+    mu_n, gbar, dbar = kg.lift(n)
+    return _adjoint(kg, mu_n, dbar, np.einsum("aij,ji->a", gbar, tau).real)
 
 
 def kg_apply_observable(kg: KGProjector, gamma: np.ndarray,
                         n: int) -> np.ndarray:
-    """The projector itself: P Gamma on the n-copy observable space."""
+    """The projector itself: P Gamma on the n-copy observable space, for one
+    observable or a stack (..., D, D) of them."""
     _check_operand(kg, gamma, n, "observable")
     return _project(kg, *kg.lift(n), gamma)
 
@@ -124,17 +136,22 @@ def positivity_diagnostic(kg: KGProjector, n: int, trials: int,
     """Measure how far P Gamma leaves [0, 1] on random test operators.
 
     Pure measurement; asserts nothing (positivity preservation has no known
-    certificate for this construction).  One test operator is held at a time.
+    certificate for this construction).  The trials are drawn, projected and
+    eigensolved in chunks of at most _CHUNK_ENTRIES matrix entries (one
+    operator per chunk from D = 128 on), so memory does not grow with trials.
     """
     lifted = kg.lift(n)
+    dim_n = kg.dim ** n
+    chunk = max(1, _CHUNK_ENTRIES // dim_n ** 2)
     lo, hi, violations = np.inf, -np.inf, 0
-    for i in range(trials):
-        gamma = random_test_operator(seed, kg.dim ** n, index=i)
-        w = np.linalg.eigvalsh(_project(kg, *lifted, gamma))
-        lo = min(lo, float(w[0]))
-        hi = max(hi, float(w[-1]))
-        if w[0] < -1e-9 or w[-1] > 1 + 1e-9:
-            violations += 1
+    for start in range(0, trials, chunk):
+        gammas = random_test_operators(seed, dim_n,
+                                       range(start, min(start + chunk, trials)))
+        w = np.linalg.eigvalsh(_project(kg, *lifted, gammas))
+        lo = min(lo, float(w[:, 0].min()))
+        hi = max(hi, float(w[:, -1].max()))
+        violations += int(np.count_nonzero((w[:, 0] < -1e-9)
+                                           | (w[:, -1] > 1 + 1e-9)))
     return PositivityReport(n_copies=n, trials=trials, min_eig=lo, max_eig=hi,
                             violation_fraction=violations / trials)
 
@@ -144,10 +161,14 @@ def gamma_n(kg: KGProjector, rho: np.ndarray, n: int) -> float:
 
     With Delta = rho^N - P_adj(rho^N) the supremum equals
     max(tr Delta_+, tr Delta_-), attained by the sign projector of Delta.
+    Only mu^N and dbar are lifted: gbar_a(rho^N) = tr(G_a rho) tr(rho)^(N-1).
     """
     _check_operand(kg, rho, 1, "rho")
-    rho_n = tensor_power(rho, n)
-    w = np.linalg.eigvalsh(rho_n - _adjoint(kg, *kg.lift(n), rho_n))
+    mu_n = tensor_power(kg.mu, n)       # checks DIM_CAP before d^n work
+    gbar_rho = (kg.observables.expectations(rho)
+                * np.trace(rho).real ** (n - 1))
+    adj = _adjoint(kg, mu_n, _copy_sum(kg.derivs, kg.mu, n), gbar_rho)
+    w = np.linalg.eigvalsh(tensor_power(rho, n) - adj)
     return max(float(np.sum(w[w > 0])), float(-np.sum(w[w < 0])))
 
 

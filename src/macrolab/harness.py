@@ -325,14 +325,15 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                 gamma_op2 = random_test_operator(seed, dim_n, index=200 + n)
                 rho_n = tensor_power(rho, n)
                 mu_n, gbar, _ = kg_rho.lift(n)
-                p_gamma = kg_apply_observable(kg_rho, gamma_op, n)
+                p_gamma, p_gamma2, p_combo = kg_apply_observable(
+                    kg_rho, np.stack([gamma_op, gamma_op2,
+                                      0.3 * gamma_op + 0.6 * gamma_op2]), n)
                 # defining property via the pairing
                 defect = abs(np.trace(rho_n @ p_gamma)
                              - np.trace(mu_n @ gamma_op))
                 pairs["defining_property"].append((defect, tol))
                 # linearity
-                lin = kg_apply_observable(kg_rho, 0.3 * gamma_op + 0.6 * gamma_op2, n) \
-                    - 0.3 * p_gamma - 0.6 * kg_apply_observable(kg_rho, gamma_op2, n)
+                lin = p_combo - 0.3 * p_gamma - 0.6 * p_gamma2
                 pairs["linearity"].append((float(np.max(np.abs(lin))), 1e-10))
                 # idempotency across different expectation values
                 ps_gamma = kg_apply_observable(kg_sigma, gamma_op, n)

@@ -8,6 +8,8 @@ is mutated in place.  Random draws are deterministic functions of
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 HERM_ATOL = 1e-12
@@ -183,12 +185,23 @@ def random_observables(seed: int, dim: int, m: int,
 
 def random_test_operator(seed: int, dim: int, index: int = 0) -> np.ndarray:
     """Random test operator: Haar-style eigenbasis, uniform [0,1] spectrum."""
-    rng = _rng(seed, _TAG_TEST_OP, index)
-    g = _complex_gaussian(rng, dim)
+    return random_test_operators(seed, dim, (index,))[0]
+
+
+def random_test_operators(seed: int, dim: int,
+                          indices: Sequence[int]) -> np.ndarray:
+    """Stack (k, dim, dim) of random test operators, element j drawn from
+    the stream of indices[j]; one batched QR serves the whole stack."""
+    g = np.empty((len(indices), dim, dim), dtype=complex)
+    w = np.empty((len(indices), 1, dim))
+    for j, index in enumerate(indices):
+        rng = _rng(seed, _TAG_TEST_OP, index)
+        g[j] = _complex_gaussian(rng, dim)
+        w[j] = rng.uniform(0.0, 1.0, dim)
     q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    w = rng.uniform(0.0, 1.0, dim)
-    return hermitian_part((q * w) @ q.conj().T)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (phases / np.abs(phases))[..., None, :]
+    return hermitian_part((q * w) @ dagger(q))
 
 
 def random_kraus(seed: int, dim: int, n_ops: int,

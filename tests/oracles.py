@@ -6,9 +6,10 @@ import math
 import numpy as np
 
 from macrolab.hypotest import np_optimal_test
-from macrolab.operators import (LOG_SUPPORT_RTOL, PSD_ATOL, eig,
-                                embed_at_slot, frechet_exp, hermitian_part,
-                                random_test_operator, tensor_power)
+from macrolab.operators import (_TAG_TEST_OP, LOG_SUPPORT_RTOL, PSD_ATOL,
+                                eig, embed_at_slot, frechet_exp,
+                                hermitian_part, random_test_operator,
+                                tensor_power)
 
 
 def _spectral_apply(h: np.ndarray, fn) -> np.ndarray:
@@ -104,6 +105,28 @@ def lifted_deriv(kg, a: int, n: int) -> np.ndarray:
     return sum(embed_at_slot([kg.derivs[a] if j == k else kg.mu
                               for j in range(n)])
                for k in range(n))
+
+
+def solo_test_operator(seed: int, dim: int, index: int) -> np.ndarray:
+    """One test operator drawn and factored on its own: a complex Gaussian,
+    its phase-fixed QR, then a uniform [0, 1] spectrum."""
+    rng = np.random.default_rng([seed, _TAG_TEST_OP, index])
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    w = rng.uniform(0.0, 1.0, dim)
+    return hermitian_part((q * w) @ q.conj().T)
+
+
+def kg_gamma_n(kg, rho: np.ndarray, n: int) -> float:
+    """gamma_N from the full lift, with gbar_a(rho^N) read off the lifted
+    copy averages: max(tr Delta_+, tr Delta_-) of Delta = rho^N - P_adj."""
+    rho_n = tensor_power(rho, n)
+    mu_n, gbar, dbar = kg.lift(n)
+    gbar_rho = np.einsum("aij,ji->a", gbar, rho_n).real
+    adj = mu_n + np.tensordot(gbar_rho - kg.f, dbar, 1)
+    w = np.linalg.eigvalsh(rho_n - hermitian_part(adj))
+    return max(float(np.sum(w[w > 0])), float(-np.sum(w[w < 0])))
 
 
 def kg_project(kg, gamma: np.ndarray, n: int) -> np.ndarray:

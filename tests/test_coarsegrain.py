@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from macrolab.coarsegrain import (KGProjector, canonical_coarse_grain,
+from macrolab.coarsegrain import (_CHUNK_ENTRIES, KGProjector,
+                                  canonical_coarse_grain,
                                   epsilon_choices, gamma_n,
                                   kg_apply_observable, kg_apply_state,
                                   kg_build, positivity_diagnostic,
@@ -12,8 +13,9 @@ from macrolab.coarsegrain import (KGProjector, canonical_coarse_grain,
 from macrolab.entropy import relative_entropy
 from macrolab.maxent import ObservableSet, fit_maxent
 from macrolab.operators import (DIM_CAP, random_density, random_observables,
-                                random_test_operator, tensor_power)
-from oracles import (kg_project, lifted_deriv, lifted_observable,
+                                random_test_operator, random_test_operators,
+                                tensor_power)
+from oracles import (kg_gamma_n, kg_project, lifted_deriv, lifted_observable,
                      pos_neg_parts, trace_distance)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -200,6 +202,20 @@ class TestKGApplyObservable:
                     pps = kg_apply_observable(kg_rho, ps, n)
                     assert np.linalg.norm(pps - ps) < 1e-9
 
+    def test_stack_matches_solo_calls(self):
+        for dim in (2, 3):
+            for m in (1, 2):
+                obs = seeded_set(24, dim, m, index=m)
+                kg = kg_build(obs, obs.expectations(random_density(24, dim)))
+                for n in (1, 2, 3):
+                    gammas = random_test_operators(24, dim ** n, range(5))
+                    stacked = kg_apply_observable(kg, gammas, n)
+                    assert stacked.shape == gammas.shape
+                    for gamma, out in zip(gammas, stacked):
+                        np.testing.assert_allclose(
+                            out, kg_apply_observable(kg, gamma, n),
+                            rtol=0, atol=1e-14)
+
     def test_linearity(self):
         kg = kg_build(seeded_set(13, 3, 2), [0.1, 0.05])
         g1 = random_test_operator(13, 3)
@@ -239,8 +255,12 @@ class TestPositivityDiagnostic:
         assert report.min_eig <= report.max_eig
 
     def test_matches_per_trial_oracle(self):
-        # seed 25 puts P Gamma outside [0, 1] in some trials of the qubit cases
-        for dim, m, n in ((2, 1, 3), (2, 2, 2), (3, 2, 2)):
+        # seed 25 puts P Gamma outside [0, 1] in some trials of the qubit
+        # cases; at d = 2, N = 6 the 30 trials span several chunks, the last
+        # one partial
+        chunk = _CHUNK_ENTRIES // (2 ** 6) ** 2
+        assert 30 > chunk and 30 % chunk
+        for dim, m, n in ((2, 1, 3), (2, 2, 2), (3, 2, 2), (2, 1, 6)):
             obs = seeded_set(25, dim, m, index=m)
             kg = kg_build(obs, obs.expectations(
                 random_density(25, dim, index=5)))
@@ -271,6 +291,17 @@ class TestGammaN:
         kg = kg_build(obs, [0.2])
         for n in (1, 2, 3):
             assert gamma_n(kg, kg.mu, n) < 1e-10
+
+    def test_matches_lift_with_copy_averages(self):
+        # gamma_n reads gbar_a(rho^N) as tr(G_a rho) tr(rho)^(N-1)
+        for dim, m in ((2, 1), (2, 2), (3, 2)):
+            obs = seeded_set(26, dim, m, index=m)
+            kg = kg_build(obs, obs.expectations(random_density(26, dim)))
+            rho = random_density(26, dim, index=1)
+            for n in (1, 2, 3):
+                for state in (rho, 2 * rho):
+                    assert abs(gamma_n(kg, state, n)
+                               - kg_gamma_n(kg, state, n)) < 1e-12
 
     def test_range(self):
         obs = seeded_set(18, 2, 1)

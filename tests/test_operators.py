@@ -9,9 +9,10 @@ from macrolab.operators import (apply_channel, check_hermitian, eig,
                                 partial_trace, random_density,
                                 random_hermitian, random_kraus,
                                 random_observables, random_test_operator,
-                                random_unitary, tensor_power)
+                                random_test_operators, random_unitary,
+                                tensor_power)
 from oracles import (depolarizing_kraus, op_exp, op_log_on_support,
-                     pos_neg_parts, trace_norm)
+                     pos_neg_parts, solo_test_operator, trace_norm)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -237,6 +238,16 @@ class TestRandomSuite:
     def test_test_operator_spectrum(self):
         w = np.linalg.eigvalsh(random_test_operator(31, 5))
         assert w[0] >= -1e-12 and w[-1] <= 1 + 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 27, 128])
+    def test_test_operator_stack_matches_solo_draws(self, dim):
+        k = 3 if dim == 128 else 7
+        stack = random_test_operators(31, dim, range(k))
+        assert stack.shape == (k, dim, dim)
+        for i in range(k):
+            assert np.array_equal(stack[i],
+                                  random_test_operator(31, dim, index=i))
+            assert np.array_equal(stack[i], solo_test_operator(31, dim, i))
 
     def test_kraus_completeness(self):
         kraus = random_kraus(12, 2, 3)
