@@ -9,20 +9,23 @@ construction used here is first order around the canonical state:
 
 with gbar_a the copy-averaged expectation values and D_a^(N) = d/ds
 (mu + s D_a)^(tensor N) at s = 0, D_a = dmu/df_a; KGProjector.lift builds both
-once per call by one copy-sum recurrence.  The observable side works on stacks
-(..., D, D): positivity_diagnostic draws, projects and eigensolves its test
-operators in chunks of at most _CHUNK_ENTRIES matrix entries, so its peak
-memory is that of one chunk whatever the number of trials.
+once per call by one copy-sum recurrence of broadcast Kronecker products.  The
+observable side works on stacks (..., D, D): positivity_diagnostic takes every
+projector on one space, draws its test operators once in chunks of at most
+_CHUNK_ENTRIES matrix entries and projects and eigensolves each chunk through
+every projector in turn, so beyond the lifts its peak memory is that of one
+chunk whatever the number of trials or projectors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .maxent import CanonicalState, ObservableSet, fit_maxent, state_derivatives
-from .operators import (check_hermitian, hermitian_part, partial_trace,
+from .operators import (check_hermitian, hermitian_part, kron, partial_trace,
                         random_test_operators, tensor_power)
 
 # test operators held at once by positivity_diagnostic, in matrix entries
@@ -72,9 +75,9 @@ def _copy_sum(ops: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
     by out <- out x rest + rest^k x ops."""
     out, power = ops, rest
     for _ in range(n - 1):
-        out = np.kron(out, rest)
-        out += np.kron(power, ops)
-        power = np.kron(power, rest)
+        out = kron(out, rest)
+        out += kron(power, ops)
+        power = kron(power, rest)
     return out
 
 
@@ -131,29 +134,44 @@ class PositivityReport:
     violation_fraction: float
 
 
-def positivity_diagnostic(kg: KGProjector, n: int, trials: int,
-                          seed: int) -> PositivityReport:
-    """Measure how far P Gamma leaves [0, 1] on random test operators.
+def positivity_diagnostic(kgs: Sequence[KGProjector], n: int, trials: int,
+                          seed: int) -> list[PositivityReport]:
+    """Measure how far each P Gamma leaves [0, 1] on random test operators;
+    one report per projector of kgs, all acting on the same d^n.
 
     Pure measurement; asserts nothing (positivity preservation has no known
-    certificate for this construction).  The trials are drawn, projected and
-    eigensolved in chunks of at most _CHUNK_ENTRIES matrix entries (one
-    operator per chunk from D = 128 on), so memory does not grow with trials.
+    certificate for this construction).  The draws depend only on (seed,
+    d^n, trials), so each chunk of test operators is drawn once and
+    projected through every projector in turn; report i equals that of a
+    call on [kgs[i]] alone.  A chunk holds at most _CHUNK_ENTRIES matrix
+    entries (one operator from D = 128 on) and one projected chunk is held
+    at a time, so beyond the lifts memory grows neither with trials nor
+    with len(kgs).
     """
-    lifted = kg.lift(n)
-    dim_n = kg.dim ** n
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not kgs:
+        raise ValueError("positivity_diagnostic needs at least one projector")
+    if len({kg.dim for kg in kgs}) > 1:
+        raise ValueError("projectors act on different dims "
+                         f"{[kg.dim for kg in kgs]}")
+    lifts = [kg.lift(n) for kg in kgs]
+    dim_n, k = kgs[0].dim ** n, len(kgs)
     chunk = max(1, _CHUNK_ENTRIES // dim_n ** 2)
-    lo, hi, violations = np.inf, -np.inf, 0
+    lo, hi, violations = np.full(k, np.inf), np.full(k, -np.inf), np.zeros(k)
     for start in range(0, trials, chunk):
         gammas = random_test_operators(seed, dim_n,
                                        range(start, min(start + chunk, trials)))
-        w = np.linalg.eigvalsh(_project(kg, *lifted, gammas))
-        lo = min(lo, float(w[:, 0].min()))
-        hi = max(hi, float(w[:, -1].max()))
-        violations += int(np.count_nonzero((w[:, 0] < -1e-9)
-                                           | (w[:, -1] > 1 + 1e-9)))
-    return PositivityReport(n_copies=n, trials=trials, min_eig=lo, max_eig=hi,
-                            violation_fraction=violations / trials)
+        for i, (kg, lifted) in enumerate(zip(kgs, lifts)):
+            w = np.linalg.eigvalsh(_project(kg, *lifted, gammas))
+            lo[i] = min(lo[i], w[:, 0].min())
+            hi[i] = max(hi[i], w[:, -1].max())
+            violations[i] += np.count_nonzero((w[:, 0] < -1e-9)
+                                              | (w[:, -1] > 1 + 1e-9))
+    return [PositivityReport(n_copies=n, trials=trials, min_eig=float(lo[i]),
+                             max_eig=float(hi[i]),
+                             violation_fraction=int(violations[i]) / trials)
+            for i in range(k)]
 
 
 def gamma_n(kg: KGProjector, rho: np.ndarray, n: int) -> float:

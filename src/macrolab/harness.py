@@ -302,7 +302,10 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
 
     The hard checks of KG_CHECKS run over dims {2, 3}, m in {1, 2},
     N in {1, ..., min(n_max, 3)}; the positivity measurement is reported but
-    never asserted.
+    never asserted.  Per dimension both projectors (m = 1, 2) are built
+    first; the test operators of the checks and of the diagnostic depend only
+    on (seed, d^N), so each is drawn once per (d, N) and serves both.  Rows
+    come out in (d, m, N) order.
     """
     seed = config.seed
     tol = config.slack_tol
@@ -310,6 +313,7 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
     pairs = {name: [] for name in KG_CHECKS}
     n_range = range(1, min(config.n_max, 3) + 1)
     for d in (2, 3):
+        setups = []
         for m in (1, 2):
             obs = ObservableSet(d, tuple(random_observables(
                 seed, d, m, index=10 * d + m)))
@@ -318,11 +322,21 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
             kg_rho = kg_build(obs, obs.expectations(rho))
             kg_sigma = kg_build(obs, obs.expectations(sigma))
             gammas = {n: gamma_n(kg_sigma, kg_rho.mu, n) for n in n_range}
-            eps, eps_prime = epsilon_choices(max(gammas.values()))
+            setups.append((rho, kg_rho, kg_sigma, gammas,
+                           epsilon_choices(max(gammas.values()))))
+        draws = {n: (random_test_operator(seed, d ** n, index=100 + n),
+                     random_test_operator(seed, d ** n, index=200 + n),
+                     random_density(seed, d ** n, index=300 + n))
+                 for n in n_range}
+        kg_rhos = [kg_rho for _, kg_rho, *_ in setups]
+        reports = {n: positivity_diagnostic(kg_rhos, n,
+                                            trials=min(config.trials, 100),
+                                            seed=seed)
+                   for n in n_range}
+        for m, (rho, kg_rho, kg_sigma, gammas, (eps, eps_prime)) \
+                in zip((1, 2), setups):
             for n in n_range:
-                dim_n = d ** n
-                gamma_op = random_test_operator(seed, dim_n, index=100 + n)
-                gamma_op2 = random_test_operator(seed, dim_n, index=200 + n)
+                gamma_op, gamma_op2, tau = draws[n]
                 rho_n = tensor_power(rho, n)
                 mu_n, gbar, _ = kg_rho.lift(n)
                 p_gamma, p_gamma2, p_combo = kg_apply_observable(
@@ -340,7 +354,6 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                 idem = kg_apply_observable(kg_rho, ps_gamma, n) - ps_gamma
                 pairs["idempotency"].append((float(np.linalg.norm(idem)), tol))
                 # expectation reproduction by the adjoint
-                tau = random_density(seed, dim_n, index=300 + n)
                 lifted = kg_apply_state(kg_rho, tau, n)
                 gaps = np.einsum("aij,ji->a", gbar, lifted - tau)
                 pairs["adjoint_expectations"] += [(abs(g), tol) for g in gaps]
@@ -352,9 +365,7 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                 # fixed point: gamma vanishes at rho = mu_f
                 g_fixed = gamma_n(kg_rho, kg_rho.mu, n)
                 pairs["fixed_point"].append((g_fixed, 1e-10))
-                report = positivity_diagnostic(kg_rho, n,
-                                               trials=min(config.trials, 100),
-                                               seed=seed)
+                report = reports[n][m - 1]
                 rows.append((n, d, m, gammas[n], report.min_eig,
                              report.violation_fraction))
     return RunResult(config, ("N", "dim", "m", "gamma_N", "min_eig_PGamma",

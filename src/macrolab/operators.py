@@ -90,6 +90,14 @@ def exp_divided_differences(w: np.ndarray) -> np.ndarray:
                     / np.where(small, 1.0, den))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, broadcast over the leading axes of
+    (..., r, c) stacks: the products of np.kron, by one broadcast multiply."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], ra * rb, ca * cb)
+
+
 def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
     """N-fold tensor (Kronecker) power, of dimension at most DIM_CAP."""
     if n < 1:
@@ -100,7 +108,7 @@ def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
             f"tensor power dimension {d ** n} exceeds cap {DIM_CAP}")
     out = rho
     for _ in range(n - 1):
-        out = np.kron(out, rho)
+        out = kron(out, rho)
     return out
 
 

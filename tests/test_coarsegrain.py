@@ -113,7 +113,7 @@ class TestKGLift:
         kg = kg_build(seeded_set(22, 2, 1), [0.1])
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"exceeds cap {DIM_CAP}"):
-            positivity_diagnostic(kg, 13, trials=1, seed=0)
+            positivity_diagnostic([kg], 13, trials=1, seed=0)
         assert time.perf_counter() - start < 1.0
 
 
@@ -249,7 +249,7 @@ class TestPositivityDiagnostic:
 
     def test_report_shape(self):
         kg = kg_build(seeded_set(16, 2, 1), [0.1])
-        report = positivity_diagnostic(kg, 1, trials=500, seed=16)
+        report = positivity_diagnostic([kg], 1, trials=500, seed=16)[0]
         assert report.trials == 500
         assert 0.0 <= report.violation_fraction <= 1.0
         assert report.min_eig <= report.max_eig
@@ -257,29 +257,55 @@ class TestPositivityDiagnostic:
     def test_matches_per_trial_oracle(self):
         # seed 25 puts P Gamma outside [0, 1] in some trials of the qubit
         # cases; at d = 2, N = 6 the 30 trials span several chunks, the last
-        # one partial
+        # one partial; the last case is one call on two projectors
         chunk = _CHUNK_ENTRIES // (2 ** 6) ** 2
         assert 30 > chunk and 30 % chunk
-        for dim, m, n in ((2, 1, 3), (2, 2, 2), (3, 2, 2), (2, 1, 6)):
-            obs = seeded_set(25, dim, m, index=m)
-            kg = kg_build(obs, obs.expectations(
+        for dim, ms, n in ((2, (1,), 3), (2, (2,), 2), (3, (2,), 2),
+                           (2, (1,), 6), (3, (1, 2), 2)):
+            kgs = [kg_build(obs, obs.expectations(
                 random_density(25, dim, index=5)))
-            report = positivity_diagnostic(kg, n, trials=30, seed=25)
-            eigs = [np.linalg.eigvalsh(kg_project(
-                kg, random_test_operator(25, dim ** n, index=i), n))
-                for i in range(30)]
-            violations = sum(w[0] < -1e-9 or w[-1] > 1 + 1e-9 for w in eigs)
-            assert report.n_copies == n and report.trials == 30
-            assert abs(report.min_eig - min(w[0] for w in eigs)) < 1e-12
-            assert abs(report.max_eig - max(w[-1] for w in eigs)) < 1e-12
-            assert report.violation_fraction == violations / 30
+                for obs in (seeded_set(25, dim, m, index=m) for m in ms)]
+            reports = positivity_diagnostic(kgs, n, trials=30, seed=25)
+            assert len(reports) == len(kgs)
+            for kg, report in zip(kgs, reports):
+                eigs = [np.linalg.eigvalsh(kg_project(
+                    kg, random_test_operator(25, dim ** n, index=i), n))
+                    for i in range(30)]
+                violations = sum(w[0] < -1e-9 or w[-1] > 1 + 1e-9
+                                 for w in eigs)
+                assert report.n_copies == n and report.trials == 30
+                assert abs(report.min_eig - min(w[0] for w in eigs)) < 1e-12
+                assert abs(report.max_eig - max(w[-1] for w in eigs)) < 1e-12
+                assert report.violation_fraction == violations / 30
+
+    def test_shared_draws_match_one_projector_calls(self):
+        # at d = 2, N = 6 the 30 trials span several chunks, the last partial
+        chunk = _CHUNK_ENTRIES // (2 ** 6) ** 2
+        assert 30 > chunk and 30 % chunk
+        cases = [(d, n) for d in (2, 3) for n in (1, 2, 3)] + [(2, 6)]
+        for dim, n in cases:
+            rho = random_density(27, dim, index=3)
+            kgs = [kg_build(obs, obs.expectations(rho))
+                   for obs in (seeded_set(27, dim, m, index=m)
+                               for m in (1, 2))]
+            both = positivity_diagnostic(kgs, n, trials=30, seed=27)
+            assert both == [positivity_diagnostic([kg], n, trials=30,
+                                                  seed=27)[0] for kg in kgs]
+
+    @pytest.mark.parametrize("dims, trials, match", [
+        ((2,), 0, "trials must be >= 1"), ((2,), -3, "trials must be >= 1"),
+        ((), 5, "at least one projector"), ((2, 3), 5, "different dims")])
+    def test_rejects_invalid_input(self, dims, trials, match):
+        kgs = [kg_build(seeded_set(28, d, 1), [0.1]) for d in dims]
+        with pytest.raises(ValueError, match=match):
+            positivity_diagnostic(kgs, 1, trials=trials, seed=0)
 
     def test_peak_memory_independent_of_trials(self):
         kg = kg_build(seeded_set(25, 2, 1), [0.1])
         peaks = []
         for trials in (2, 40):
             tracemalloc.start()
-            positivity_diagnostic(kg, 7, trials=trials, seed=25)
+            positivity_diagnostic([kg], 7, trials=trials, seed=25)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macrolab.operators import (apply_channel, check_hermitian, eig,
-                                frechet_exp, hermitian_part,
+                                frechet_exp, hermitian_part, kron,
                                 kraus_completeness_error,
                                 operator_from_json, operator_to_json,
                                 partial_trace, random_density,
@@ -140,6 +140,34 @@ class TestTensorPower:
     def test_cap(self):
         with pytest.raises(ValueError, match="65536"):
             tensor_power(random_density(0, 4), 8)
+
+    def test_matches_np_kron_chain(self):
+        for d in (2, 3):
+            rho = random_density(10, d)
+            expected = rho
+            for n in range(1, 5):
+                np.testing.assert_array_equal(tensor_power(rho, n), expected)
+                expected = np.kron(expected, rho)
+
+
+class TestKron:
+    def test_matrices_match_np_kron(self):
+        for da, db in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            a, b = random_hermitian(11, da), random_density(11, db)
+            np.testing.assert_array_equal(kron(a, b), np.kron(a, b))
+        a = random_hermitian(11, 4)[:2, :3]
+        np.testing.assert_array_equal(kron(a, a.T), np.kron(a, a.T))
+
+    def test_stacks_match_np_kron(self):
+        # a (m, d, d) stack against one matrix, on either side
+        for d in (2, 3):
+            stack = np.stack([random_hermitian(12, d, index=i)
+                              for i in range(3)])
+            mat = random_density(12, d)
+            for a, b in ((stack, mat), (mat, stack)):
+                out = kron(a, b)
+                assert out.shape == (3, d * d, d * d)
+                np.testing.assert_array_equal(out, np.kron(a, b))
 
 
 def partial_trace_oracle(rho, da, db, keep):
