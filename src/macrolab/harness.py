@@ -64,6 +64,11 @@ class ExperimentConfig:
             raise ValueError("each of dims must be >= 2")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
+        d = self.dim or 4       # monotonicity clamps m per dimension
+        if self.experiment == "process" and self.m > d * d - 1:
+            raise ValueError(f"m must be <= {d * d - 1} at dim {d}")
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,11 @@ def _dim_groups(config: ExperimentConfig) -> list[tuple[int, np.ndarray]]:
 
 
 def _observables(seed: int, d: int, m: int, indices) -> np.ndarray:
-    """The level of description of each trial, random_observables at its
-    index checked as an ObservableSet; members stacked (B, m, d, d)."""
-    return np.array([ObservableSet(d, tuple(random_observables(
-        seed, d, m, index=int(i)))).stacked for i in indices]
+    """random_observables at each trial's index, stacked (B, m, d, d).  The
+    draws are orthonormal to the identity and to each other, so they need
+    no ObservableSet check."""
+    return np.array([random_observables(seed, d, m, index=int(i))
+                     for i in indices], dtype=complex
                     ).reshape(len(indices), m, d, d)
 
 

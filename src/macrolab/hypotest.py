@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import relative_entropy
-from .operators import LOG_SUPPORT_RTOL, check_hermitian, eig, hermitian_part
+from .operators import (LOG_SUPPORT_RTOL, check_hermitian, eig, hermitian_part,
+                        kron)
 
 KERNEL_BAND = 1e-10    # relative to <v|rho_b + t sigma_b|v>
 RESIDUAL_MARGIN = 10   # times the eigenpair residual
@@ -322,7 +323,7 @@ def _schur_weyl_blocks(rho: np.ndarray, sigma: np.ndarray,
     kept = {}
     for size in range(n + 1):
         if size:
-            images = {nu: irrep.iso.T @ np.kron(images[irrep.parent], r)
+            images = {nu: irrep.iso.T @ kron(images[irrep.parent], r)
                       @ irrep.iso
                       for nu, irrep in tower.levels[size].items()}
         if (n - size) % d == 0:

@@ -29,9 +29,11 @@ from functools import cached_property
 import numpy as np
 
 from .operators import (check_hermitian, dagger, eig, exp_divided_differences,
-                        hermitian_part, operator_to_json, operator_from_json)
+                        hermitian_part)
 
 GRAM_COND_MAX = 1e8
+FIT_TOL = 1e-10
+FIT_MAX_ITER = 200
 LAMBDA_DIVERGENCE = 1e3
 COV_REGULARIZATION = 1e-12
 COV_COND_MAX = 1e10
@@ -81,15 +83,6 @@ class ObservableSet:
     def expectations(self, rho: np.ndarray) -> np.ndarray:
         return expectations(self.stacked, rho)
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim,
-                "members": [operator_to_json(g) for g in self.members]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ObservableSet":
-        return cls(dim=int(doc["dim"]),
-                   members=tuple(operator_from_json(g) for g in doc["members"]))
-
 
 @dataclass(frozen=True)
 class CanonicalState:
@@ -105,23 +98,6 @@ class CanonicalState:
     spectrum: tuple[np.ndarray, np.ndarray]
     fit_residual: float = 0.0
     near_extremal: bool = False
-
-    @property
-    def exponent(self) -> np.ndarray:
-        """A = sum_a lambda^a G_a."""
-        return _exponent(self.observables.stacked, self.lam)
-
-    def to_json(self) -> dict:
-        return {"observables": self.observables.to_json(),
-                "lambda": self.lam.tolist(),
-                "f": self.f.tolist(),
-                "mu": operator_to_json(self.mu),
-                "logZ": float(self.logZ)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CanonicalState":
-        return canonical_from_lambda(
-            ObservableSet.from_json(doc["observables"]), doc["lambda"])
 
 
 def _exponent(g: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -259,16 +235,15 @@ def _line_search(g, ft, lam, dual, state, live, step) -> np.ndarray:
     return todo
 
 
-def fit_stack(members, targets, tol: float = 1e-10,
-              max_iter: int = 200) -> FitStack:
+def fit_stack(members, targets) -> FitStack:
     """Invert f(lambda) = targets[i] on members[i] for every i, by one damped
     Newton loop over the stack (members (B, m, d, d), targets (B, m)).
 
-    Per element: stop when the residual max|f - target| <= tol; halve the
+    Per element: stop when the residual max|f - target| <= FIT_TOL; halve the
     step until the dual decreases, and count 60 halvings without a decrease
     as a stall; |lambda| > LAMBDA_DIVERGENCE after a step is divergence;
-    after max_iter steps the residual decides between converged and stalled.
-    An element leaves the loop as soon as its outcome is known.
+    after FIT_MAX_ITER steps the residual decides between converged and
+    stalled.  An element leaves the loop as soon as its outcome is known.
     """
     g = np.asarray(members, dtype=complex)
     ft = np.asarray(targets, dtype=float)
@@ -290,16 +265,16 @@ def fit_stack(members, targets, tol: float = 1e-10,
         target = ft[i].tolist()
         errors[i] = InfeasibleTargetError(
             (f"Newton fit stalled at residual {resid[i]:.3e} after "
-             f"{max_iter} iterations; target {target} appears infeasible "
+             f"{FIT_MAX_ITER} iterations; target {target} appears infeasible "
              "or near-extremal" if stalled else
              f"Lagrange parameters diverged (|lambda| > "
              f"{LAMBDA_DIVERGENCE:g}); target {target} appears infeasible")
             + _extremal_note(g[i], ft[i]))
 
     live = np.arange(len(ft))
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         resid[live] = residual(live)
-        live = live[resid[live] > tol]
+        live = live[resid[live] > FIT_TOL]
         if not live.size:
             break
         step = _newton_step(g[live], [a[live] for a in state], ft[live])
@@ -312,15 +287,14 @@ def fit_stack(members, targets, tol: float = 1e-10,
             fail(i, stalled=False)
         live = live[~diverged]
     resid[live] = residual(live)
-    for i in live[resid[live] > tol]:
+    for i in live[resid[live] > FIT_TOL]:
         fail(i, stalled=True)
     w, v, mu, f, logz = state
     return FitStack(lam=lam, f=f, mu=mu, logZ=logz, w=w, v=v, residual=resid,
                     errors=tuple(errors))
 
 
-def fit_maxent(obs: ObservableSet, f_target, tol: float = 1e-10,
-               max_iter: int = 200) -> CanonicalState:
+def fit_maxent(obs: ObservableSet, f_target) -> CanonicalState:
     """Invert f(lambda) = f_target by damped Newton on the convex dual; the
     B = 1 case of fit_stack.
 
@@ -330,8 +304,7 @@ def fit_maxent(obs: ObservableSet, f_target, tol: float = 1e-10,
     f_target = np.atleast_1d(np.asarray(f_target, dtype=float))
     if f_target.shape != (obs.size,):
         raise ValueError(f"target length {f_target.shape} != {obs.size}")
-    return fit_stack(obs.stacked[None], f_target[None], tol,
-                     max_iter).state(0, obs)
+    return fit_stack(obs.stacked[None], f_target[None]).state(0, obs)
 
 
 def _extremal_note(g: np.ndarray, f_target: np.ndarray) -> str:

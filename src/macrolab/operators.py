@@ -40,13 +40,13 @@ def max_asymmetry(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 
 
-def check_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> None:
+def check_hermitian(a: np.ndarray) -> None:
     """Reject anything but a Hermitian matrix, or a stack (..., d, d) of
     them; for a stack the worst element is reported."""
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     asym = max_asymmetry(a)
-    if asym > atol:
+    if asym > HERM_ATOL:
         raise ValueError(f"operator is not Hermitian: max asymmetry {asym:.3e}")
 
 
@@ -173,8 +173,11 @@ def random_hermitian(seed: int, dim: int, index: int = 0) -> np.ndarray:
 def random_observables(seed: int, dim: int, m: int,
                        index: int = 0) -> list[np.ndarray]:
     """m Hermitian Gaussian draws, trace-orthonormalized against the identity
-    and against each other: tr(G_a) = 0, tr(G_a G_b) = delta_ab.
+    and against each other: tr(G_a) = 0, tr(G_a G_b) = delta_ab, so
+    0 <= m <= dim^2 - 1.
     """
+    if not 0 <= m < dim * dim:
+        raise ValueError(f"{m} observables do not fit in dimension {dim}")
     rng = _rng(seed, _TAG_OBSERVABLES, index)
     basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
     out = []
@@ -234,21 +237,3 @@ def apply_channel(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
         raise ValueError(f"incomplete Kraus set: completeness error {err:.3e}")
     out = sum(k @ rho @ k.conj().T for k in kraus)
     return hermitian_part(out)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format, shared by all modules
-# ---------------------------------------------------------------------------
-
-def operator_to_json(op: np.ndarray) -> dict:
-    return {"dim": int(op.shape[0]),
-            "re": np.real(op).tolist(),
-            "im": np.imag(op).tolist()}
-
-
-def operator_from_json(doc: dict) -> np.ndarray:
-    dim = int(doc["dim"])
-    op = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    if op.shape != (dim, dim):
-        raise ValueError(f"operator document shape {op.shape} != ({dim}, {dim})")
-    return op

@@ -68,7 +68,7 @@ def depolarizing_kraus(dim: int) -> list[np.ndarray]:
 def frechet_dmu_dlam(cs) -> list[np.ndarray]:
     """dmu/dlambda^b = D exp(A)[G_b] / Z - mu f_b, one Frechet derivative of
     exp at the exponent per observable."""
-    a = cs.exponent
+    a = sum(l * g for l, g in zip(cs.lam, cs.observables.members))
     z = np.exp(cs.logZ)
     return [frechet_exp(a, g) / z - cs.mu * fb
             for g, fb in zip(cs.observables.members, cs.f)]

@@ -42,6 +42,19 @@ class TestConfig:
             with pytest.raises(ValueError, match="dims"):
                 ExperimentConfig(experiment="product", dims=dims)
 
+    def test_m_validation(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                ExperimentConfig(experiment="process", dim=2, m=m)
+        # process draws m observables on one dimension, 4 by default
+        for dim, m in ((2, 4), (3, 9), (None, 16)):
+            with pytest.raises(ValueError, match="m must be <="):
+                ExperimentConfig(experiment="process", dim=dim, m=m)
+        ExperimentConfig(experiment="process", dim=2, m=3)
+        ExperimentConfig(experiment="process", m=15)
+        # monotonicity clamps m to each dimension it cycles through
+        ExperimentConfig(experiment="monotonicity", dim=2, m=15)
+
 
 class TestProcessPipeline:
     def test_identity_process_same_observables(self):
@@ -203,6 +216,10 @@ class TestCLI:
     @pytest.mark.parametrize("argv, message", [
         (["stein", "--n-max", "0"], "n_max must be >= 1"),
         (["product", "--dims", "1", "3"], "dims"),
+        (["process", "--dim", "2", "--m", "4", "--trials", "1"],
+         "m must be <= 3"),
+        (["process", "--dim", "2", "--m", "-1", "--trials", "2"],
+         "m must be >= 1"),
     ])
     def test_invalid_config_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -4,13 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from macrolab.operators import (apply_channel, check_hermitian, eig,
                                 frechet_exp, hermitian_part, kron,
-                                kraus_completeness_error,
-                                operator_from_json, operator_to_json,
-                                partial_trace, random_density,
-                                random_hermitian, random_kraus,
-                                random_observables, random_test_operator,
-                                random_test_operators, random_unitary,
-                                tensor_power)
+                                kraus_completeness_error, partial_trace,
+                                random_density, random_hermitian,
+                                random_kraus, random_observables,
+                                random_test_operator, random_test_operators,
+                                random_unitary, tensor_power)
 from oracles import (depolarizing_kraus, op_exp, op_log_on_support,
                      pos_neg_parts, solo_test_operator, trace_norm)
 
@@ -263,6 +261,14 @@ class TestRandomSuite:
             for b, gb in enumerate(obs):
                 assert abs(np.trace(ga @ gb).real - (a == b)) < 1e-10
 
+    def test_observables_count_is_bounded(self):
+        # the traceless Hermitian operators span dim^2 - 1 dimensions; more
+        # must raise rather than loop in the Gram-Schmidt redraw
+        assert len(random_observables(3, 2, 3)) == 3
+        for dim, m in ((2, 4), (3, 9), (2, -1)):
+            with pytest.raises(ValueError, match="do not fit"):
+                random_observables(3, dim, m)
+
     def test_test_operator_spectrum(self):
         w = np.linalg.eigvalsh(random_test_operator(31, 5))
         assert w[0] >= -1e-12 and w[-1] <= 1 + 1e-12
@@ -304,15 +310,3 @@ class TestApplyChannel:
         out = apply_channel(rho, random_kraus(seed, 3, rank))
         assert abs(np.trace(out).real - 1) < 1e-10
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        op = random_hermitian(44, 3)
-        doc = operator_to_json(op)
-        assert doc["dim"] == 3
-        np.testing.assert_array_equal(operator_from_json(doc), op)
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError, match="shape"):
-            operator_from_json({"dim": 3, "re": [[1.0]], "im": [[0.0]]})
