@@ -1,17 +1,17 @@
 """Command-line entry point.
 
     macrolab <experiment> [--dim D] [--dims DA DB] [--m M] [--trials T]
-             [--seed S] [--n-max N] [--epsilon E] [--out PATH]
-             [--config PATH.json] [--summary]
+             [--seed S] [--n-max N] [--epsilon E] [--out PATH] [--summary]
 
-Flags override config-file values.  --summary prints each named hard check
-with its worst value and bound.  Exit code 0 iff every named check passes.
+A setting whose flag is not given takes its ExperimentConfig default; a flag
+the experiment does not read (harness.EXPERIMENTS) is a usage error.
+--summary prints each named hard check with its worst value and bound.
+Exit code 0 iff every named check passes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .harness import EXPERIMENTS, ExperimentConfig, csv_lines, run_experiment, \
@@ -32,27 +32,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file with the same keys as the flags")
     p.add_argument("--summary", action="store_true",
                    help="print named checks, pass fraction and redraws")
     return p
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            values.update(json.load(fh))
-    for key in ("dim", "dims", "m", "trials", "seed", "n_max", "epsilon",
-                "out"):
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    if "dims" in values and values["dims"] is not None:
-        values["dims"] = tuple(values["dims"])
-    values.pop("experiment", None)
-    return ExperimentConfig(experiment=args.experiment, **values)
+    """The config of the flags given; raises ValueError naming every given
+    flag that the experiment does not read."""
+    given = {key: getattr(args, key) for key in
+             ("dim", "dims", "m", "trials", "seed", "n_max", "epsilon")
+             if getattr(args, key) is not None}
+    _, reads = EXPERIMENTS[args.experiment]
+    unread = [f"--{key.replace('_', '-')}" for key in given
+              if key not in reads]
+    if unread:
+        raise ValueError(f"{args.experiment} does not read {', '.join(unread)}")
+    if "dims" in given:
+        given["dims"] = tuple(given["dims"])
+    return ExperimentConfig(experiment=args.experiment, **given)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,8 +61,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:     # an invalid config is a usage error
         parser.error(str(exc))
     result = run_experiment(config)
-    if config.out:
-        write_csv(result, config.out)
+    if args.out:
+        write_csv(result, args.out)
     else:
         print("\n".join(csv_lines(result, timestamp=False)))
     if args.summary:

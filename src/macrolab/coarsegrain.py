@@ -44,10 +44,8 @@ def product_coarse_grain(rho_ab: np.ndarray,
                          dims: tuple[int, int]) -> np.ndarray:
     """Remove correlations: rho_AB -> rho_A (tensor) rho_B, for one operator
     or a stack (..., d, d) of them."""
-    ra = partial_trace(rho_ab, dims, "A")
-    rb = partial_trace(rho_ab, dims, "B")
-    return (ra[..., :, None, :, None]
-            * rb[..., None, :, None, :]).reshape(rho_ab.shape)
+    return kron(partial_trace(rho_ab, dims, "A"),
+                partial_trace(rho_ab, dims, "B"))
 
 
 @dataclass(frozen=True)

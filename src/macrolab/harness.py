@@ -34,8 +34,7 @@ from .operators import (apply_channel, dagger, partial_trace, random_density,
                         random_kraus, random_observables, random_test_operator,
                         random_unitary, tensor_power)
 
-EXPERIMENTS = ("process", "monotonicity", "product", "lindblad", "stein",
-               "kg-checks")
+SLACK_TOL = 1e-9    # an entropy difference passes at >= -SLACK_TOL
 
 
 @dataclass
@@ -48,8 +47,6 @@ class ExperimentConfig:
     seed: int = 0
     n_max: int = 10
     epsilon: float = 0.5
-    slack_tol: float = 1e-9
-    out: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -110,11 +107,10 @@ def _sweep_result(config: ExperimentConfig, trials: list[tuple],
                   extra: tuple[Check, ...] = (), redraws: int = 0
                   ) -> RunResult:
     """Rows and the slack check from (trial, dim, m, S_before, S_after)."""
-    tol = config.slack_tol
     rows = [(t, d, m, before, after, before - after,
-             int(before - after >= -tol))
+             int(before - after >= -SLACK_TOL))
             for t, d, m, before, after in trials]
-    slack = _check("slack", operator.ge, ((r[5], -tol) for r in rows))
+    slack = _check("slack", operator.ge, ((r[5], -SLACK_TOL) for r in rows))
     return RunResult(config, SWEEP_COLUMNS, rows, [slack, *extra], redraws)
 
 
@@ -202,7 +198,7 @@ def run_process(config: ExperimentConfig) -> RunResult:
         raise min(failures, key=lambda x: x[:2])[2]
     (mu_g, mu_gp), (mu_f, mu_fp) = prepared, final
     uniform = np.broadcast_to(np.eye(d) / d, mu_g.shape)
-    second_law = [(a - b, -config.slack_tol) for a, b in zip(
+    second_law = [(a - b, -SLACK_TOL) for a, b in zip(
         relative_entropy(mu_g, uniform).tolist(),
         relative_entropy(mu_f, uniform).tolist())]
     trials = list(zip(range(n), [d] * n, [m] * n,
@@ -251,7 +247,7 @@ def run_product(config: ExperimentConfig) -> RunResult:
     s_marg = relative_entropy(partial_trace(rho, dims, "A"),
                               partial_trace(sigma, dims, "A")).tolist()
     trials = list(zip(range(n), [d] * n, [0] * n, s_full, s_prod))
-    marginal = [(full - marg, -config.slack_tol)
+    marginal = [(full - marg, -SLACK_TOL)
                 for full, marg in zip(s_full, s_marg)]
     return _sweep_result(config, trials,
                          (_check("marginal", operator.ge, marginal),))
@@ -313,8 +309,7 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
     on (seed, d^N), so each is drawn once per (d, N) and serves both.  Rows
     come out in (d, m, N) order.
     """
-    seed = config.seed
-    tol = config.slack_tol
+    seed, tol = config.seed, SLACK_TOL
     rows = []
     pairs = {name: [] for name in KG_CHECKS}
     n_range = range(1, min(config.n_max, 3) + 1)
@@ -380,13 +375,20 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                       for name, holds in KG_CHECKS.items()])
 
 
-RUNNERS = {"process": run_process, "monotonicity": run_monotonicity,
-           "product": run_product, "lindblad": run_lindblad,
-           "stein": run_stein, "kg-checks": run_kg_checks}
+# Each experiment's runner and the ExperimentConfig settings it reads
+EXPERIMENTS = {
+    "process": (run_process, ("dim", "m", "trials", "seed")),
+    "monotonicity": (run_monotonicity, ("dim", "m", "trials", "seed")),
+    "product": (run_product, ("dims", "trials", "seed")),
+    "lindblad": (run_lindblad, ("dim", "trials", "seed")),
+    "stein": (run_stein, ("n_max", "epsilon")),
+    "kg-checks": (run_kg_checks, ("trials", "seed", "n_max")),
+}
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    return RUNNERS[config.experiment](config)
+    run, _ = EXPERIMENTS[config.experiment]
+    return run(config)
 
 
 def _fmt(x: float) -> str:

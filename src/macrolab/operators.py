@@ -150,6 +150,14 @@ def _complex_gaussian(rng: np.random.Generator, dim: int,
     return rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
 
 
+def _haar_q(g: np.ndarray) -> np.ndarray:
+    """Q of g's QR, for a matrix or a stack, with the phases of R's diagonal
+    moved into Q's columns: Haar-distributed for a complex Gaussian g."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def random_density(seed: int, dim: int, index: int = 0) -> np.ndarray:
     """Full-rank Hilbert-Schmidt-style density matrix: G G^dagger normalized."""
     g = _complex_gaussian(_rng(seed, _TAG_DENSITY, index), dim)
@@ -159,10 +167,7 @@ def random_density(seed: int, dim: int, index: int = 0) -> np.ndarray:
 
 def random_unitary(seed: int, dim: int, index: int = 0) -> np.ndarray:
     """Haar-style unitary: QR of a complex Gaussian with phase fixing."""
-    g = _complex_gaussian(_rng(seed, _TAG_UNITARY, index), dim)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_q(_complex_gaussian(_rng(seed, _TAG_UNITARY, index), dim))
 
 
 def random_hermitian(seed: int, dim: int, index: int = 0) -> np.ndarray:
@@ -209,18 +214,15 @@ def random_test_operators(seed: int, dim: int,
         rng = _rng(seed, _TAG_TEST_OP, index)
         g[j] = _complex_gaussian(rng, dim)
         w[j] = rng.uniform(0.0, 1.0, dim)
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (phases / np.abs(phases))[..., None, :]
+    q = _haar_q(g)
     return hermitian_part((q * w) @ dagger(q))
 
 
 def random_kraus(seed: int, dim: int, n_ops: int,
                  index: int = 0) -> list[np.ndarray]:
     """Random Kraus set via a Haar-style isometry from dim to n_ops*dim."""
-    g = _complex_gaussian(_rng(seed, _TAG_KRAUS, index), n_ops * dim, dim)
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    q = _haar_q(_complex_gaussian(_rng(seed, _TAG_KRAUS, index), n_ops * dim,
+                                  dim))
     return [q[i * dim:(i + 1) * dim, :] for i in range(n_ops)]
 
 

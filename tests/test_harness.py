@@ -1,13 +1,14 @@
-import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macrolab.cli import main
+from macrolab.cli import build_parser, config_from_args, main
 from macrolab.coarsegrain import canonical_coarse_grain
 from macrolab.entropy import relative_entropy
-from macrolab.harness import (ExperimentConfig, csv_lines, run_experiment,
-                              summary, write_csv)
+from macrolab.harness import (EXPERIMENTS, ExperimentConfig, csv_lines,
+                              run_experiment, summary, write_csv)
 from macrolab.maxent import ObservableSet, fit_maxent
 from macrolab.operators import random_density, random_observables
 
@@ -198,15 +199,6 @@ class TestCLI:
         assert len(lines) == 12
         assert "pass fraction" in capsys.readouterr().err
 
-    def test_config_file_and_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 5, "seed": 1,
-                                   "out": str(tmp_path / "c.csv")}))
-        code = main(["product", "--config", str(cfg), "--trials", "7"])
-        assert code == 0
-        rows = (tmp_path / "c.csv").read_text().splitlines()
-        assert len(rows) == 2 + 7  # flag overrides the config value
-
     def test_stdout_without_out(self, capsys):
         code = main(["product", "--trials", "3", "--seed", "2"])
         assert code == 0
@@ -220,6 +212,16 @@ class TestCLI:
          "m must be <= 3"),
         (["process", "--dim", "2", "--m", "-1", "--trials", "2"],
          "m must be >= 1"),
+        # a flag the experiment does not read
+        (["kg-checks", "--dim", "2", "--m", "9", "--trials", "1",
+          "--n-max", "1"], "kg-checks does not read --dim, --m"),
+        (["stein", "--seed", "3", "--n-max", "2"],
+         "stein does not read --seed"),
+        (["lindblad", "--m", "3", "--trials", "2"],
+         "lindblad does not read --m"),
+        (["product", "--dim", "3", "--trials", "2"],
+         "product does not read --dim"),
+        (["product", "--trials", "2", "--config", "x.json"], "--config"),
     ])
     def test_invalid_config_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +230,14 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "usage: macrolab" in err and message in err
         assert "Traceback" not in err
+
+    def test_sweeps_script_flags_are_read(self):
+        script = Path(__file__).resolve().parents[1] / "scripts/run_sweeps.sh"
+        configs = [config_from_args(build_parser().parse_args(
+                       shlex.split(line)[1:]))
+                   for line in script.read_text().splitlines()
+                   if line.startswith("macrolab ")]
+        assert [c.experiment for c in configs] == list(EXPERIMENTS)
 
     def test_summary_format(self):
         result = run_experiment(ExperimentConfig(
