@@ -4,8 +4,7 @@ relative entropy for a few qubit pairs, printed as a table."""
 
 import argparse
 
-import numpy as np
-
+from macrolab.harness import STEIN_RHO, STEIN_SIGMA
 from macrolab.hypotest import stein_rate_series
 from macrolab.operators import random_density
 
@@ -18,8 +17,7 @@ def main():
     args = ap.parse_args()
 
     pairs = {
-        "diag(0.9,0.1) vs uniform": (np.diag([0.9, 0.1]).astype(complex),
-                                     np.diag([0.5, 0.5]).astype(complex)),
+        "diag(0.9,0.1) vs uniform": (STEIN_RHO, STEIN_SIGMA),
         "seeded non-commuting": (random_density(args.seed, 2),
                                  random_density(args.seed, 2, index=1)),
     }

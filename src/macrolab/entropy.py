@@ -13,15 +13,9 @@ import math
 
 import numpy as np
 
-from .operators import LOG_SUPPORT_RTOL, PSD_ATOL, check_hermitian, eig
+from .operators import PSD_ATOL, check_hermitian, eig, in_support
 
 SUPPORT_LEAK_TOL = 1e-10
-
-
-def _support(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues above LOG_SUPPORT_RTOL relative to the largest one, along
-    the last axis; the rest is kernel."""
-    return w > LOG_SUPPORT_RTOL * np.maximum(w[..., -1:], 0.0)
 
 
 def von_neumann(rho: np.ndarray) -> float:
@@ -32,7 +26,7 @@ def von_neumann(rho: np.ndarray) -> float:
     """
     check_hermitian(rho)
     w = np.linalg.eigvalsh(rho)
-    w = w[_support(w)]
+    w = w[in_support(w)]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -53,7 +47,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray):
     check_hermitian(sigma)
     r = np.linalg.eigvalsh(rho)
     w, v = eig(sigma)
-    support = _support(w)
+    support = in_support(w)
     p = np.sum(v.conj() * (rho @ v), axis=-2).real
     leak = np.sum(np.where(support, 0.0, p), axis=-1) > SUPPORT_LEAK_TOL
     bad = ~leak & ((r[..., 0] < -PSD_ATOL) | (w[..., 0] < -PSD_ATOL))
@@ -61,8 +55,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray):
         i = np.unravel_index(np.argmax(bad), bad.shape)
         low = r[i][0] if r[i][0] < -PSD_ATOL else w[i][0]
         raise ValueError(f"log of a non-PSD operator (eigenvalue {low:.3e})")
-    rho_log_rho = np.sum(np.where(_support(r), r * np.log(np.where(
-        _support(r), r, 1.0)), 0.0), axis=-1)
+    rho_log_rho = np.sum(np.where(in_support(r), r * np.log(np.where(
+        in_support(r), r, 1.0)), 0.0), axis=-1)
     rho_log_sigma = np.sum(np.where(support, p * np.log(np.where(
         support, w, 1.0)), 0.0), axis=-1)
     out = np.where(leak, math.inf, rho_log_rho - rho_log_sigma)

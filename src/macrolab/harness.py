@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ValueError("each of dims must be >= 2")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.experiment == "stein" and self.n_max < 2:
+            raise ValueError("stein compares two rates: n_max must be >= 2")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         d = self.dim or 4       # monotonicity clamps m per dimension
@@ -287,8 +289,7 @@ def run_stein(config: ExperimentConfig) -> RunResult:
     # hard invariant: the rate approaches the relative entropy
     first_gap = abs(series.rows[0][2] - rel)
     last_gap = abs(series.rows[-1][2] - rel)
-    trend = Check("rate_trend", last_gap, first_gap,
-                  len(series.rows) < 2 or last_gap < first_gap)
+    trend = Check("rate_trend", last_gap, first_gap, last_gap < first_gap)
     return RunResult(config, ("N", "prob", "rate", "relative_entropy", "gap"),
                      rows, [trend])
 
@@ -420,7 +421,7 @@ def summary(result: RunResult) -> str:
     line per check with its worst value and bound."""
     passed = sum(c.passed for c in result.checks)
     lines = [f"experiment: {result.config.experiment}",
-             f"trials: {len(result.rows)}",
+             f"rows: {len(result.rows)}",
              f"pass fraction: {passed / len(result.checks):.4f}",
              f"redraws: {result.redraws}"]
     lines += [f"check {c.name}: {'pass' if c.passed else 'FAIL'}, "

@@ -5,10 +5,13 @@ The optimal test minimizing tr(sigma Gamma) subject to tr(rho Gamma) >= eps,
 Neyman-Pearson threshold t, with a fractional weight on the near-kernel band
 so the constraint is met with equality.
 
-One threshold search serves every caller.  It runs on weighted blocks
-(m_b, rho_b, sigma_b), which stand for the pair rho = (+)_b rho_b (x) 1_{m_b}
-and sigma likewise, and minimizes sum_b m_b tr(sigma_b Gamma_b) subject to
-sum_b m_b tr(rho_b Gamma_b) >= eps.  A single pair is one block with m = 1.
+Every search runs in sigma's eigenbasis v, where each entry point rotates
+its pair once: rho to r = v^dag rho v, sigma to its spectrum s, 0 off its
+support.  One threshold search serves every caller.  It runs on weighted
+blocks (m_b, rho_b, sigma_b), with sigma_b diagonal and its zeros sigma's
+kernel, which stand for rho = (+)_b rho_b (x) 1_{m_b} and sigma likewise, and
+minimizes sum_b m_b tr(sigma_b Gamma_b) subject to sum_b m_b tr(rho_b
+Gamma_b) >= eps.  A single pair is the block (1, r, diag(s)).
 
 N copies of a pair in any dimension d are searched on their Schur-Weyl
 blocks (Keyl-Werner 2001 for qubits; Bacon-Chuang-Harrow 2006 in general):
@@ -21,8 +24,8 @@ most d-1 rows are built, one box at a time: pi_nu(rho) = C^T (pi_mu(rho)
 (x) rho) C, where the real isometry C, an eigenspace of a Jucys-Murphy
 operator, does not depend on rho and is cached per dimension.  Blocks have
 size of order N^(d(d-1)/2) (at most N+1 for qubits), so N is not bounded by
-DIM_CAP.  Sigma's blocks are diagonal in its eigenbasis, and its support is
-decided on one copy.
+DIM_CAP.  Sigma's blocks are products of s, so its support is decided on
+one copy.
 
 The search is scale-invariant.  It squares t to bracket the crossing,
 bisects log t down to a factor 2, then bisects t until
@@ -45,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import relative_entropy
-from .operators import (LOG_SUPPORT_RTOL, check_hermitian, eig, hermitian_part,
-                        kron)
+from .operators import check_hermitian, eig, hermitian_part, in_support, kron
 
 KERNEL_BAND = 1e-10    # relative to <v|rho_b + t sigma_b|v>
 RESIDUAL_MARGIN = 10   # times the eigenpair residual
@@ -76,6 +78,14 @@ def _check_pair(rho: np.ndarray, sigma: np.ndarray, eps: float) -> None:
     check_hermitian(sigma)
 
 
+def _sigma_basis(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(r, s, v): rho in sigma's eigenbasis v, r = v^dag rho v, and sigma's
+    ascending spectrum s, with 0 outside its support."""
+    w, v = eig(sigma)
+    return (hermitian_part(v.conj().T @ rho @ v),
+            np.where(in_support(w), w, 0.0), v)
+
+
 def _expect(blocks: list[Block], gammas: list[np.ndarray],
             which: int) -> float:
     """sum_b m_b tr(op_b Gamma_b), op = rho (which=1) or sigma (which=2)."""
@@ -83,33 +93,29 @@ def _expect(blocks: list[Block], gammas: list[np.ndarray],
                for b, g in zip(blocks, gammas))
 
 
-def _np_search(blocks: list[Block], eps: float, kernel_rtol: float
+def _np_search(blocks: list[Block], eps: float
                ) -> tuple[float, float, float, list[np.ndarray]]:
-    """Neyman-Pearson minimizer over weighted blocks.
-
-    Eigenvalues of the sigma_b at or below kernel_rtol times the largest one
-    of all blocks make up sigma's kernel.  Returns (prob, threshold t, power,
-    per-block tests Gamma_b).
-    """
+    """Neyman-Pearson minimizer over weighted blocks with diagonal sigma_b,
+    whose zeros are sigma's kernel.  Returns (prob, threshold t, power,
+    per-block tests Gamma_b)."""
     # exactly Hermitian blocks give exactly Hermitian rho_b - t sigma_b
-    blocks = [(m, hermitian_part(r), hermitian_part(s)) for m, r, s in blocks]
+    blocks = [(m, hermitian_part(r), s) for m, r, s in blocks]
     # If enough of rho lives in sigma's kernel the error probability is 0.
-    spectra = [eig(s) for _, _, s in blocks]
-    cut = kernel_rtol * max(max(float(w[-1]) for w, _ in spectra), 0.0)
-    kers = [v[:, w <= cut] for w, v in spectra]
-    p_ker = sum(m * float(np.trace(k.conj().T @ r @ k).real)
+    kers = [np.diag(s) == 0 for _, _, s in blocks]
+    p_ker = sum(m * float(np.diag(r).real[k].sum())
                 for (m, r, _), k in zip(blocks, kers))
     if p_ker > 0 and p_ker >= eps - 1e-12:
-        gammas = [hermitian_part(min(eps / p_ker, 1.0) * (k @ k.conj().T))
+        gammas = [np.diag(np.where(k, min(eps / p_ker, 1.0), 0.0))
                   for k in kers]
         return 0.0, math.inf, _expect(blocks, gammas, 1), gammas
 
-    def spectra_at(t: float):
-        """Per block: eigenvectors v and eigenvalues w of
+    def split_at(t: float) -> list[tuple]:
+        """Per block: m_b, the eigenvectors v and eigenvalues w of
         h = (rho_b - t sigma_b) / max(1, t), the overlaps rho_v = <v|rho_b|v>,
         and the band of each eigenvalue.  Dividing by max(1, t) keeps h in
         the float range whatever t is."""
         scale = max(1.0, t)
+        split = []
         for m, r, s in blocks:
             h = r - t * s if t <= 1 else r / t - s
             w, v = eig(h)
@@ -120,39 +126,42 @@ def _np_search(blocks: list[Block], eps: float, kernel_rtol: float
             # <v|rho_b + t sigma_b|v> / scale = 2 rho_v / scale - w
             band = (KERNEL_BAND * (2 * rho_v / scale - w)
                     + RESIDUAL_MARGIN * residual)
-            yield m, v, w, rho_v, band
+            split.append((m, v, w, rho_v, band))
+        return split
 
-    def g_at_least(t: float) -> bool:
+    def reaches(split: list[tuple]) -> bool:
         """Whether g(t) = sum_b m_b tr(rho_b P_+(rho_b - t sigma_b)) >= eps.
 
         Compared through the complement 1 - g(t), a sum of small nonnegative
         overlaps, so levels near 1 are resolved without cancellation.
         """
         deficit = sum(m * float(rho_v[w <= band].sum())
-                      for m, _, w, rho_v, band in spectra_at(t))
+                      for m, _, w, rho_v, band in split)
         return deficit <= 1.0 - eps
 
-    def candidate(t: float):
-        # rho mass in the band and below it; like g_at_least, the mass that
+    def candidate(t: float, split: list[tuple]):
+        # rho mass in the band and below it; like reaches, the mass that
         # P_+ misses of eps is taken through the complement
-        splits = []
+        parts = []
         p_zero = p_minus = 0.0
-        for m, v, w, rho_v, band in spectra_at(t):
+        for m, v, w, rho_v, band in split:
             plus, zero = w > band, np.abs(w) <= band
             p_zero += m * float(rho_v[zero].sum())
             p_minus += m * float(rho_v[~(plus | zero)].sum())
-            splits.append((v, plus, zero))
+            parts.append((v, plus, zero))
         missing = p_zero + p_minus - (1.0 - eps)
         c = min(missing / p_zero, 1.0) if missing > 0 and p_zero > 0 else 0.0
         gammas = [hermitian_part(
             (v * np.where(plus, 1.0, np.where(zero, c, 0.0))) @ v.conj().T)
-            for v, plus, zero in splits]
+            for v, plus, zero in parts]
         power = _expect(blocks, gammas, 1)
         if power < eps - 1e-10:
             return None
         return _expect(blocks, gammas, 2), t, power, gammas
 
+    # the splits at lo (None while lo = 0) and hi; no threshold is solved twice
     lo, hi = 0.0, 1.0
+    at_lo, at_hi = None, split_at(hi)
     steps = 0
 
     def fail(reason: str) -> RuntimeError:
@@ -161,21 +170,24 @@ def _np_search(blocks: list[Block], eps: float, kernel_rtol: float
             f"t in [{lo!r}, {hi!r}], width {hi - lo!r}, eps {eps!r}")
 
     def bisect(mid: float) -> None:
-        nonlocal lo, hi, steps
-        if g_at_least(mid):
-            lo = mid
+        nonlocal lo, hi, at_lo, at_hi, steps
+        split = split_at(mid)
+        if reaches(split):
+            lo, at_lo = mid, split
         else:
-            hi = mid
+            hi, at_hi = mid, split
         steps += 1
         if steps > MAX_SEARCH_STEPS:
             raise fail(f"cap {MAX_SEARCH_STEPS}")
 
     # bracket the crossing of g(t) with eps by squaring t, which doubles
     # log t, so thresholds of N copies, which grow like exp(N D), cost O(log N)
-    while g_at_least(hi):
+    while reaches(at_hi):
         if hi == sys.float_info.max:
             raise fail("threshold beyond the float range")
-        lo, hi = hi, min(max(2.0, hi * hi), sys.float_info.max)
+        lo, at_lo = hi, at_hi
+        hi = min(max(2.0, hi * hi), sys.float_info.max)
+        at_hi = split_at(hi)
         steps += 1
     while lo > 0 and hi > 2 * lo:
         bisect(math.sqrt(lo) * math.sqrt(hi))
@@ -184,20 +196,22 @@ def _np_search(blocks: list[Block], eps: float, kernel_rtol: float
     while hi > BISECT_WIDTH and hi - lo > BISECT_WIDTH * hi:
         bisect(lo + (hi - lo) / 2)
 
-    # t = 0 guards the degenerate case where g is numerically flat at eps
-    candidates = [c for c in (candidate(hi), candidate(lo), candidate(0.0))
-                  if c is not None]
+    # t = 0 guards the degenerate case where g is numerically flat at eps;
+    # while lo = 0 it stands for lo as well
+    ends = [(hi, at_hi), (lo, at_lo), (0.0, split_at(0.0))]
+    candidates = [c for c in (candidate(t, split) for t, split in ends
+                              if split is not None) if c is not None]
     return min(candidates, key=lambda c: c[0])
 
 
 def np_optimal_test(rho: np.ndarray, sigma: np.ndarray,
                     eps: float) -> NPTestResult:
-    """Exact quantum Neyman-Pearson minimizer."""
+    """Exact quantum Neyman-Pearson minimizer, in sigma's eigenbasis."""
     _check_pair(rho, sigma, eps)
-    prob, t, power, gammas = _np_search([(1.0, rho, sigma)], eps,
-                                        LOG_SUPPORT_RTOL)
+    r, s, v = _sigma_basis(rho, sigma)
+    prob, t, power, (gamma,) = _np_search([(1.0, r, np.diag(s))], eps)
     return NPTestResult(epsilon=eps, threshold_t=t, prob=prob, power=power,
-                        gamma_op=gammas[0])
+                        gamma_op=hermitian_part(v @ gamma @ v.conj().T))
 
 
 @dataclass(frozen=True)
@@ -296,25 +310,20 @@ def _hook_count(lam: tuple[int, ...]) -> int:
     return math.factorial(sum(lam)) // hooks
 
 
-def _schur_weyl_blocks(rho: np.ndarray, sigma: np.ndarray,
-                       n: int) -> list[Block]:
+def _schur_weyl_blocks(r: np.ndarray, s: np.ndarray, n: int) -> list[Block]:
     """Blocks (f^lam, pi_lam(rho), pi_lam(sigma)) over lam |- n with at most
-    d rows, in sigma's eigenbasis.
+    d rows, from a pair in sigma's eigenbasis (_sigma_basis): r is rho there
+    and s sigma's spectrum, 0 on its kernel.
 
     pi_lam(r) = det(r)^k pi_nu(r), k = lam_d, nu = lam - k, and pi_nu(r) =
     C^T (pi_mu(r) (x) r) C from the tower.  Sigma's blocks are diagonal,
-    prod_a s_a^(w_a) over the weights w.  At d = 2 a diagonal phase, which
-    leaves sigma alone, makes rho real, so every block is real.  Sigma's
-    support is decided on one copy, with the relative cutoff of
-    relative_entropy; its kernel becomes exact zeros in the blocks, while
-    small products of its eigenvalues stay.
+    prod_a s_a^(w_a) over the weights w, so its kernel is decided on one
+    copy, while small products of its eigenvalues stay.  At d = 2 a diagonal
+    phase, which leaves sigma alone, makes r real, so every block is real.
     """
-    d = rho.shape[0]
+    d = r.shape[0]
     tower = _TOWERS.setdefault(d, _IrrepTower(d))
     tower.grow(n)
-    w_s, v_s = eig(sigma)
-    w_s = np.where(w_s > LOG_SUPPORT_RTOL * w_s[-1], w_s, 0.0)
-    r = hermitian_part(v_s.conj().T @ rho @ v_s)
     if d == 2:
         off = abs(r[0, 1])
         r = np.array([[r[0, 0].real, off], [off, r[1, 1].real]])
@@ -336,7 +345,7 @@ def _schur_weyl_blocks(rho: np.ndarray, sigma: np.ndarray,
             weights = tower.levels[size][nu].weights + k
             blocks.append((float(_hook_count(tuple(p for p in lam if p))),
                            det_r ** k * image,
-                           np.diag(np.prod(w_s ** weights, axis=1))))
+                           np.diag(np.prod(s ** weights, axis=1))))
     return blocks
 
 
@@ -347,7 +356,8 @@ def prob_eps_tensor(rho: np.ndarray, sigma: np.ndarray, eps: float,
     _check_pair(rho, sigma, eps)
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
-    return _np_search(_schur_weyl_blocks(rho, sigma, n), eps, 0.0)[0]
+    r, s, _ = _sigma_basis(rho, sigma)
+    return _np_search(_schur_weyl_blocks(r, s, n), eps)[0]
 
 
 @dataclass(frozen=True)
@@ -359,10 +369,13 @@ class SteinRateSeries:
 
 def stein_rate_series(rho: np.ndarray, sigma: np.ndarray, eps: float,
                       n_max: int) -> SteinRateSeries:
-    """Rates -(1/N) ln prob for N = 1..n_max, alongside S(rho||sigma)."""
+    """Rates -(1/N) ln prob for N = 1..n_max, alongside S(rho||sigma); the
+    pair is rotated into sigma's eigenbasis once for all N."""
+    _check_pair(rho, sigma, eps)
+    r, s, _ = _sigma_basis(rho, sigma)
     rows = []
     for n in range(1, n_max + 1):
-        prob = prob_eps_tensor(rho, sigma, eps, n)
+        prob = _np_search(_schur_weyl_blocks(r, s, n), eps)[0]
         rate = math.inf if prob <= 0 else -math.log(prob) / n
         rows.append((n, prob, rate))
     return SteinRateSeries(epsilon=eps,

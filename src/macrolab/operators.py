@@ -50,6 +50,12 @@ def check_hermitian(a: np.ndarray) -> None:
         raise ValueError(f"operator is not Hermitian: max asymmetry {asym:.3e}")
 
 
+def in_support(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above LOG_SUPPORT_RTOL relative to the largest
+    one, along the last axis of ascending spectra; the rest is kernel."""
+    return w > LOG_SUPPORT_RTOL * np.maximum(w[..., -1:], 0.0)
+
+
 def eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator, or of a stack of them.
 

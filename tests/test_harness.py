@@ -1,4 +1,6 @@
+import importlib.util
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +209,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv, message", [
         (["stein", "--n-max", "0"], "n_max must be >= 1"),
+        # one point has no rate to compare with
+        (["stein", "--n-max", "1"], "n_max must be >= 2"),
         (["product", "--dims", "1", "3"], "dims"),
         (["process", "--dim", "2", "--m", "4", "--trials", "1"],
          "m must be <= 3"),
@@ -239,9 +243,28 @@ class TestCLI:
                    if line.startswith("macrolab ")]
         assert [c.experiment for c in configs] == list(EXPERIMENTS)
 
+    def test_stein_script_rates_are_the_cli_rates(self, monkeypatch, capsys):
+        path = (Path(__file__).resolve().parents[1]
+                / "scripts/stein_convergence.py")
+        spec = importlib.util.spec_from_file_location("stein_convergence",
+                                                      path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), "--n-max", "2"])
+        script.main()
+        diag = capsys.readouterr().out.strip().split("\n\n")[0].splitlines()
+        assert diag[0].startswith("diag(0.9,0.1) vs uniform")
+        rates = [row.split()[2] for row in diag[2:]]
+        assert main(["stein", "--n-max", "2"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        col = header.split(",").index("rate")
+        assert rates == [f"{float(row.split(',')[col]):.6f}" for row in rows]
+        assert len(rates) == 2
+
     def test_summary_format(self):
         result = run_experiment(ExperimentConfig(
             experiment="lindblad", trials=5, seed=1))
         text = summary(result)
+        assert "rows: 5" in text
         assert "pass fraction: 1.0000" in text
         assert "redraws: 0" in text

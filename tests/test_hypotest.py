@@ -310,12 +310,41 @@ class TestGeneralSchurWeylBlocks:
     def test_dimension_and_trace(self, d):
         rho = random_density(20 + d, d)
         sigma = random_density(20 + d, d, index=1)
+        r, s, _ = hypotest._sigma_basis(rho, sigma)
         for n in range(1, 9):
-            blocks = hypotest._schur_weyl_blocks(rho, sigma, n)
+            blocks = hypotest._schur_weyl_blocks(r, s, n)
             assert sum(m * r.shape[0] for m, r, _ in blocks) == d ** n
             for which in (1, 2):
                 total = sum(b[0] * np.trace(b[which]).real for b in blocks)
                 assert abs(total - 1.0) <= 1e-12
+
+    def test_each_threshold_is_solved_once(self, monkeypatch):
+        # a point solves sigma once, then each block once per threshold the
+        # search splits, t = 0 included; a series solves sigma once in all
+        rho, sigma = random_density(42, 3), random_density(42, 3, index=1)
+        r, s, _ = hypotest._sigma_basis(rho, sigma)
+        solved = []
+        monkeypatch.setattr(hypotest, "eig",
+                            lambda h: solved.append(h) or eig(h))
+        for n in (1, 3, 5):
+            sizes = [b[1].shape[0]
+                     for b in hypotest._schur_weyl_blocks(r, s, n)]
+            solved.clear()
+            prob_eps_tensor(rho, sigma, 0.5, n)
+            assert np.array_equal(solved[0], sigma)
+            b = len(sizes)
+            splits = [solved[i:i + b] for i in range(1, len(solved), b)]
+            assert len(solved) == 1 + b * len(splits)
+            assert all([h.shape[0] for h in split] == sizes
+                       for split in splits)
+            assert len({b"".join(h.tobytes() for h in split)
+                        for split in splits}) == len(splits)
+        solved.clear()
+        series = stein_rate_series(rho, sigma, 0.5, 5)
+        assert sum(h.shape == sigma.shape and np.array_equal(h, sigma)
+                   for h in solved) == 1
+        assert [prob for _, prob, _ in series.rows] == [
+            prob_eps_tensor(rho, sigma, 0.5, n) for n in range(1, 6)]
 
     @pytest.mark.parametrize("d, seed, n_max", [(3, 42, 5), (3, 7, 5),
                                                 (4, 42, 3)])
