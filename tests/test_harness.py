@@ -209,8 +209,6 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv, message", [
         (["stein", "--n-max", "0"], "n_max must be >= 1"),
-        # one point has no rate to compare with
-        (["stein", "--n-max", "1"], "n_max must be >= 2"),
         (["product", "--dims", "1", "3"], "dims"),
         (["process", "--dim", "2", "--m", "4", "--trials", "1"],
          "m must be <= 3"),
@@ -226,6 +224,8 @@ class TestCLI:
         (["product", "--dim", "3", "--trials", "2"],
          "product does not read --dim"),
         (["product", "--trials", "2", "--config", "x.json"], "--config"),
+        # one point has no rate to compare with
+        (["stein", "--n-max", "1"], "n_max must be >= 2"),
     ])
     def test_invalid_config_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
