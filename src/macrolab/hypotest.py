@@ -5,13 +5,16 @@ The optimal test minimizing tr(sigma Gamma) subject to tr(rho Gamma) >= eps,
 Neyman-Pearson threshold t, with a fractional weight on the near-kernel band
 so the constraint is met with equality.
 
-Every search runs in sigma's eigenbasis v, where each entry point rotates
-its pair once: rho to r = v^dag rho v, sigma to its spectrum s, 0 off its
-support.  One threshold search serves every caller.  It runs on weighted
-blocks (m_b, rho_b, sigma_b), with sigma_b diagonal and its zeros sigma's
-kernel, which stand for rho = (+)_b rho_b (x) 1_{m_b} and sigma likewise, and
-minimizes sum_b m_b tr(sigma_b Gamma_b) subject to sum_b m_b tr(rho_b
-Gamma_b) >= eps.  A single pair is the block (1, r, diag(s)).
+Every search runs in sigma's eigenbasis v, where each entry point validates
+its pair and rotates it once: rho to r = v^dag rho v, sigma to its spectrum
+s, 0 off its support.  One threshold search serves every caller.  It runs on
+weighted blocks (m_b, rho_b, s_b), where s_b is the diagonal of sigma_b and
+its zeros are sigma's kernel, which stand for rho = (+)_b rho_b (x) 1_{m_b}
+and sigma likewise, and minimizes sum_b m_b tr(sigma_b Gamma_b) subject to
+sum_b m_b tr(rho_b Gamma_b) >= eps.  A single pair is the block (1, r, s).
+The search reads both traces from the overlaps of each eigenvector v_b of
+rho_b - t sigma_b with rho_b and s_b, and returns each test Gamma_b as its
+eigen-weights (v_b, c_b); only np_optimal_test forms a test operator.
 
 N copies of a pair in any dimension d are searched on their Schur-Weyl
 blocks (Keyl-Werner 2001 for qubits; Bacon-Chuang-Harrow 2006 in general):
@@ -48,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import relative_entropy
-from .operators import check_hermitian, eig, hermitian_part, in_support, kron
+from .operators import (PSD_ATOL, TRACE_ATOL, check_hermitian, eig,
+                        hermitian_part, in_support, kron)
 
 KERNEL_BAND = 1e-10    # relative to <v|rho_b + t sigma_b|v>
 RESIDUAL_MARGIN = 10   # times the eigenpair residual
@@ -57,57 +61,52 @@ BISECT_WIDTH = 1e-12
 # squaring t reaches the float range in 11
 MAX_SEARCH_STEPS = 200
 
-Block = tuple[float, np.ndarray, np.ndarray]   # (m_b, rho_b, sigma_b)
+Block = tuple[float, np.ndarray, np.ndarray]   # (m_b, rho_b, s_b)
 
 
 @dataclass(frozen=True)
 class NPTestResult:
-    epsilon: float
     threshold_t: float
     prob: float          # minimized tr(sigma Gamma)
     power: float         # achieved tr(rho Gamma)
     gamma_op: np.ndarray
 
 
-def _check_pair(rho: np.ndarray, sigma: np.ndarray, eps: float) -> None:
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
+def _sigma_basis(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(r, s, v): rho in sigma's eigenbasis v, r = v^dag rho v, and sigma's
+    ascending spectrum s, with 0 outside its support.  Rejects a pair that
+    is not two states of one dimension."""
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     check_hermitian(rho)
     check_hermitian(sigma)
-
-
-def _sigma_basis(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(r, s, v): rho in sigma's eigenbasis v, r = v^dag rho v, and sigma's
-    ascending spectrum s, with 0 outside its support."""
     w, v = eig(sigma)
+    for name, spec in (("rho", np.linalg.eigvalsh(rho)), ("sigma", w)):
+        if spec[0] < -PSD_ATOL or abs(spec.sum() - 1) > TRACE_ATOL:
+            raise ValueError(f"{name} is not a state: lowest eigenvalue "
+                             f"{spec[0]:.3e}, trace {spec.sum():.12g}")
     return (hermitian_part(v.conj().T @ rho @ v),
             np.where(in_support(w), w, 0.0), v)
 
 
-def _expect(blocks: list[Block], gammas: list[np.ndarray],
-            which: int) -> float:
-    """sum_b m_b tr(op_b Gamma_b), op = rho (which=1) or sigma (which=2)."""
-    return sum(b[0] * float(np.vdot(g, b[which]).real)
-               for b, g in zip(blocks, gammas))
-
-
 def _np_search(blocks: list[Block], eps: float
-               ) -> tuple[float, float, float, list[np.ndarray]]:
-    """Neyman-Pearson minimizer over weighted blocks with diagonal sigma_b,
-    whose zeros are sigma's kernel.  Returns (prob, threshold t, power,
-    per-block tests Gamma_b)."""
-    # exactly Hermitian blocks give exactly Hermitian rho_b - t sigma_b
-    blocks = [(m, hermitian_part(r), s) for m, r, s in blocks]
+               ) -> tuple[float, float, float, list[tuple]]:
+    """Neyman-Pearson minimizer over weighted blocks (m_b, rho_b, s_b), with
+    rho_b exactly Hermitian and s_b sigma_b's diagonal, whose zeros are
+    sigma's kernel.  Returns (prob, threshold t, power, per-block tests
+    Gamma_b = v_b diag(c_b) v_b^dag as (v_b, c_b))."""
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
     # If enough of rho lives in sigma's kernel the error probability is 0.
-    kers = [np.diag(s) == 0 for _, _, s in blocks]
+    kers = [s == 0 for _, _, s in blocks]
     p_ker = sum(m * float(np.diag(r).real[k].sum())
                 for (m, r, _), k in zip(blocks, kers))
     if p_ker > 0 and p_ker >= eps - 1e-12:
-        gammas = [np.diag(np.where(k, min(eps / p_ker, 1.0), 0.0))
-                  for k in kers]
-        return 0.0, math.inf, _expect(blocks, gammas, 1), gammas
+        tests = [(np.eye(len(k)), np.where(k, min(eps / p_ker, 1.0), 0.0))
+                 for k in kers]
+        power = sum(m * float(c @ np.diag(r).real)
+                    for (m, r, _), (_, c) in zip(blocks, tests))
+        return 0.0, math.inf, power, tests
 
     def split_at(t: float) -> list[tuple]:
         """Per block: m_b, the eigenvectors v and eigenvalues w of
@@ -117,7 +116,8 @@ def _np_search(blocks: list[Block], eps: float
         scale = max(1.0, t)
         split = []
         for m, r, s in blocks:
-            h = r - t * s if t <= 1 else r / t - s
+            h = r / scale      # sigma_b is diagonal: t moves h's diagonal only
+            h.flat[::len(s) + 1] -= t / scale * s
             w, v = eig(h)
             rho_v = np.einsum("ij,ij->j", v.conj(), r @ v).real
             # an eigenvalue of h lies within the residual |h v - w v| of w
@@ -151,13 +151,14 @@ def _np_search(blocks: list[Block], eps: float
             parts.append((v, plus, zero))
         missing = p_zero + p_minus - (1.0 - eps)
         c = min(missing / p_zero, 1.0) if missing > 0 and p_zero > 0 else 0.0
-        gammas = [hermitian_part(
-            (v * np.where(plus, 1.0, np.where(zero, c, 0.0))) @ v.conj().T)
-            for v, plus, zero in parts]
-        power = _expect(blocks, gammas, 1)
-        if power < eps - 1e-10:
-            return None
-        return _expect(blocks, gammas, 2), t, power, gammas
+        tests = [(v, np.where(plus, 1.0, np.where(zero, c, 0.0)))
+                 for v, plus, zero in parts]
+        # tr(rho_b Gamma_b) = c_b . rho_v, tr(sigma_b Gamma_b) = c_b . s_b|v|^2
+        power = sum(m * float(cb @ rho_v)
+                    for (m, _, _, rho_v, _), (_, cb) in zip(split, tests))
+        prob = sum(m * float(cb @ (s @ (v * v.conj()).real))
+                   for (m, _, s), (v, cb) in zip(blocks, tests))
+        return None if power < eps - 1e-10 else (prob, t, power, tests)
 
     # the splits at lo (None while lo = 0) and hi; no threshold is solved twice
     lo, hi = 0.0, 1.0
@@ -206,12 +207,13 @@ def _np_search(blocks: list[Block], eps: float
 
 def np_optimal_test(rho: np.ndarray, sigma: np.ndarray,
                     eps: float) -> NPTestResult:
-    """Exact quantum Neyman-Pearson minimizer, in sigma's eigenbasis."""
-    _check_pair(rho, sigma, eps)
+    """Exact quantum Neyman-Pearson minimizer, in sigma's eigenbasis; the
+    one place a test operator is formed."""
     r, s, v = _sigma_basis(rho, sigma)
-    prob, t, power, (gamma,) = _np_search([(1.0, r, np.diag(s))], eps)
-    return NPTestResult(epsilon=eps, threshold_t=t, prob=prob, power=power,
-                        gamma_op=hermitian_part(v @ gamma @ v.conj().T))
+    prob, t, power, ((v_b, c),) = _np_search([(1.0, r, s)], eps)
+    v = v @ v_b
+    return NPTestResult(threshold_t=t, prob=prob, power=power,
+                        gamma_op=hermitian_part((v * c) @ v.conj().T))
 
 
 @dataclass(frozen=True)
@@ -311,15 +313,16 @@ def _hook_count(lam: tuple[int, ...]) -> int:
 
 
 def _schur_weyl_blocks(r: np.ndarray, s: np.ndarray, n: int) -> list[Block]:
-    """Blocks (f^lam, pi_lam(rho), pi_lam(sigma)) over lam |- n with at most
-    d rows, from a pair in sigma's eigenbasis (_sigma_basis): r is rho there
-    and s sigma's spectrum, 0 on its kernel.
+    """Blocks (f^lam, pi_lam(rho), diagonal of pi_lam(sigma)) over lam |- n
+    with at most d rows, from a pair in sigma's eigenbasis (_sigma_basis): r
+    is rho there and s sigma's spectrum, 0 on its kernel.
 
     pi_lam(r) = det(r)^k pi_nu(r), k = lam_d, nu = lam - k, and pi_nu(r) =
-    C^T (pi_mu(r) (x) r) C from the tower.  Sigma's blocks are diagonal,
-    prod_a s_a^(w_a) over the weights w, so its kernel is decided on one
-    copy, while small products of its eigenvalues stay.  At d = 2 a diagonal
-    phase, which leaves sigma alone, makes r real, so every block is real.
+    C^T (pi_mu(r) (x) r) C from the tower, taken exactly Hermitian.  Sigma's
+    blocks are diagonal, prod_a s_a^(w_a) over the weights w, and are kept
+    as that vector, so its kernel is decided on one copy, while small
+    products of its eigenvalues stay.  At d = 2 a diagonal phase, which
+    leaves sigma alone, makes r real, so every block is real.
     """
     d = r.shape[0]
     tower = _TOWERS.setdefault(d, _IrrepTower(d))
@@ -344,8 +347,8 @@ def _schur_weyl_blocks(r: np.ndarray, s: np.ndarray, n: int) -> list[Block]:
             lam = tuple(p + k for p in nu + (0,) * (d - 1 - len(nu))) + (k,)
             weights = tower.levels[size][nu].weights + k
             blocks.append((float(_hook_count(tuple(p for p in lam if p))),
-                           det_r ** k * image,
-                           np.diag(np.prod(s ** weights, axis=1))))
+                           hermitian_part(det_r ** k * image),
+                           np.prod(s ** weights, axis=1)))
     return blocks
 
 
@@ -353,7 +356,6 @@ def prob_eps_tensor(rho: np.ndarray, sigma: np.ndarray, eps: float,
                     n: int) -> float:
     """Optimal error probability on n tensor copies, searched on their
     Schur-Weyl blocks."""
-    _check_pair(rho, sigma, eps)
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
     r, s, _ = _sigma_basis(rho, sigma)
@@ -362,7 +364,6 @@ def prob_eps_tensor(rho: np.ndarray, sigma: np.ndarray, eps: float,
 
 @dataclass(frozen=True)
 class SteinRateSeries:
-    epsilon: float
     rel_entropy: float
     rows: list[tuple[int, float, float]]  # (N, prob, rate); rate inf if prob 0
 
@@ -371,13 +372,11 @@ def stein_rate_series(rho: np.ndarray, sigma: np.ndarray, eps: float,
                       n_max: int) -> SteinRateSeries:
     """Rates -(1/N) ln prob for N = 1..n_max, alongside S(rho||sigma); the
     pair is rotated into sigma's eigenbasis once for all N."""
-    _check_pair(rho, sigma, eps)
     r, s, _ = _sigma_basis(rho, sigma)
     rows = []
     for n in range(1, n_max + 1):
         prob = _np_search(_schur_weyl_blocks(r, s, n), eps)[0]
         rate = math.inf if prob <= 0 else -math.log(prob) / n
         rows.append((n, prob, rate))
-    return SteinRateSeries(epsilon=eps,
-                           rel_entropy=relative_entropy(rho, sigma),
+    return SteinRateSeries(rel_entropy=relative_entropy(rho, sigma),
                            rows=rows)

@@ -40,6 +40,22 @@ def test_non_hermitian_input_rejected(call):
         call()
 
 
+NEG = np.diag([-0.5, 1.5]).astype(complex)
+NEG_SIGMA = "sigma is not a state: lowest eigenvalue -5"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: np_optimal_test(UNIF, NEG, 0.5), NEG_SIGMA),
+    (lambda: prob_eps_tensor(UNIF, NEG, 0.5, 3), NEG_SIGMA),
+    (lambda: stein_rate_series(UNIF, NEG, 0.5, 3), NEG_SIGMA),
+    (lambda: np_optimal_test(2 * D91, UNIF, 0.5), "rho .*trace 2$"),
+], ids=["np-sigma", "tensor-sigma", "series-sigma", "np-rho-trace"])
+def test_non_state_input_rejected(call, match):
+    # a negative eigenvalue of sigma used to be read as kernel, giving prob 0
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestNPOptimalTest:
     def test_equal_states(self):
         for eps in (0.1, 0.37, 1.0):
@@ -73,13 +89,22 @@ class TestNPOptimalTest:
             < 1e-10
 
     def test_result_invariants(self):
-        rho = random_density(5, 2)
-        sigma = random_density(5, 2, index=1)
-        r = np_optimal_test(rho, sigma, 0.7)
-        assert r.power >= 0.7 - 1e-10
-        assert abs(r.prob - np.trace(sigma @ r.gamma_op).real) < 1e-10
-        w = np.linalg.eigvalsh(r.gamma_op)
-        assert w[0] >= -1e-10 and w[-1] <= 1 + 1e-10
+        for d in (2, 3, 4):
+            rho = random_density(5, d)
+            sigma = random_density(5, d, index=1)
+            r = np_optimal_test(rho, sigma, 0.7)
+            assert r.power >= 0.7 - 1e-10
+            assert abs(r.power - np.trace(rho @ r.gamma_op).real) < 1e-10
+            assert abs(r.prob - np.trace(sigma @ r.gamma_op).real) < 1e-10
+            w = np.linalg.eigvalsh(r.gamma_op)
+            assert w[0] >= -1e-10 and w[-1] <= 1 + 1e-10
+
+    def test_result_invariants_in_sigma_kernel(self):
+        # half of |0>, which sigma = |1><1| never sees, meets eps = 0.5
+        r = np_optimal_test(KET0, KET1, 0.5)
+        assert r.prob == 0.0 and abs(r.power - 0.5) < 1e-10
+        assert abs(r.power - np.trace(KET0 @ r.gamma_op).real) < 1e-10
+        assert np.allclose(r.gamma_op, 0.5 * KET0, rtol=0, atol=1e-10)
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -314,8 +339,8 @@ class TestGeneralSchurWeylBlocks:
         for n in range(1, 9):
             blocks = hypotest._schur_weyl_blocks(r, s, n)
             assert sum(m * r.shape[0] for m, r, _ in blocks) == d ** n
-            for which in (1, 2):
-                total = sum(b[0] * np.trace(b[which]).real for b in blocks)
+            for total in (sum(b[0] * np.trace(b[1]).real for b in blocks),
+                          sum(b[0] * np.sum(b[2]) for b in blocks)):
                 assert abs(total - 1.0) <= 1e-12
 
     def test_each_threshold_is_solved_once(self, monkeypatch):
