@@ -410,3 +410,93 @@ class TestGeneralSchurWeylBlocks:
         sigma = u @ np.diag([1e-5, 0.5 - 5e-6, 0.5 - 5e-6]) @ u.conj().T
         prob = prob_eps_tensor(np.eye(3) / 3, sigma, 0.02, 3)
         assert rel_err(prob, 0.02 * 27 * 1e-15) <= 1e-9
+
+
+def block_search(rho, sigma, eps, n):
+    """(prob, threshold, fractional weights per block) of the block search;
+    a weight strictly between 0 and 1 puts the threshold at a jump of g."""
+    r, s, _ = hypotest._sigma_basis(rho, sigma)
+    prob, t, _, tests = hypotest._np_search(
+        hypotest._schur_weyl_blocks(r, s, n), eps)
+    return prob, t, [int(((c > 0) & (c < 1)).sum()) for _, c in tests]
+
+
+def count_eig(monkeypatch) -> list[int]:
+    calls = [0]
+    monkeypatch.setattr(hypotest, "eig",
+                        lambda h: calls.__setitem__(0, calls[0] + 1) or eig(h))
+    return calls
+
+
+class TestSearchSteps:
+    """The steps that close the threshold bracket, each kind against an
+    oracle at the tolerances of the tests above."""
+
+    @pytest.mark.parametrize("pair, n_max, bisection_calls", [
+        ((D91, UNIF), 9, 1352),
+        ((random_density(42, 2), random_density(42, 2, index=1)), 9, 1358),
+        ((random_density(42, 3), random_density(42, 3, index=1)), 5, 725),
+    ], ids=["stein-diag", "stein-random", "np-qutrit-0"])
+    def test_eig_calls_per_series(self, monkeypatch, pair, n_max,
+                                  bisection_calls):
+        # the benchmark's series; bisecting t down to BISECT_WIDTH took
+        # bisection_calls eigensolves, most of them in its last 40 steps
+        calls = count_eig(monkeypatch)
+        stein_rate_series(*pair, 0.5, n_max)
+        assert calls[0] <= bisection_calls // 2
+
+    def test_steps_within_stated_bound(self, monkeypatch):
+        # near this threshold (about 6e14) eigensolve rounding makes g noisy,
+        # steps stall and bisections take over; a search whose threshold is
+        # above 1 takes at most 11 squarings, 10 bisections of log t and
+        # twice the 40 bisections that close the bracket
+        monkeypatch.setattr(hypotest, "MAX_SEARCH_STEPS", 11 + 10 + 2 * 40)
+        rho, sigma = random_density(0, 2), random_density(0, 2, index=1)
+        assert prob_eps_tensor(rho, sigma, 0.01, 60) > 0
+
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.9])
+    def test_jump_shared_across_blocks(self, eps):
+        # weight a of 7 qubits lies in every block (7 - k, k) with
+        # k <= min(a, 7 - a), so its likelihood ratio leaves several at once
+        p, q = 0.6, 0.45
+        prob, _, fractional = block_search(*diag_pair(p, q), eps, 7)
+        assert sum(fractional) > 0
+        assert rel_err(prob, type_class_oracle(p, q, 7, eps)) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.9])
+    def test_jump_commuting_qutrits(self, eps):
+        p, q = (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)
+        prob, _, fractional = block_search(np.diag(p).astype(complex),
+                                           np.diag(q).astype(complex), eps, 5)
+        assert sum(fractional) > 0
+        assert rel_err(prob, type_class_oracle(p, q, 5, eps)) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.9])
+    def test_continuous_root_non_commuting_qutrits(self, eps):
+        rho, sigma = random_density(42, 3), random_density(42, 3, index=1)
+        prob, _, fractional = block_search(rho, sigma, eps, 5)
+        assert sum(fractional) == 0
+        dense = np_optimal_test(tensor_power(rho, 5), tensor_power(sigma, 5),
+                                eps).prob
+        assert rel_err(prob, dense) <= 1e-10
+
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.9])
+    def test_threshold_below_one(self, monkeypatch, eps):
+        # the bracket starts at lo = 0, whose split is the final t = 0 guard
+        calls = count_eig(monkeypatch)
+        prob, t, _ = block_search(*diag_pair(0.02, 0.01), eps, 7)
+        assert t < 1
+        assert rel_err(prob, type_class_oracle(0.02, 0.01, 7, eps)) <= 1e-9
+        # sorted eigenvalues of these diagonal blocks cross inside the
+        # bracket; bisection took 169 eigensolves
+        assert calls[0] <= 169 // 2
+        # and a non-commuting qutrit pair close to sigma
+        rho = np.diag([0.03, 0.48, 0.49]).astype(complex)
+        rho[0, 2] = rho[2, 0] = 0.01
+        sigma = np.diag([0.01, 0.49, 0.5]).astype(complex)
+        for n in (2, 3, 4):
+            prob, t, _ = block_search(rho, sigma, eps, n)
+            dense = np_optimal_test(tensor_power(rho, n),
+                                    tensor_power(sigma, n), eps)
+            assert t < 1 and dense.threshold_t < 1
+            assert rel_err(prob, dense.prob) <= 1e-10
