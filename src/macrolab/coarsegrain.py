@@ -10,11 +10,13 @@ construction used here is first order around the canonical state:
 with gbar_a the copy-averaged expectation values and D_a^(N) = d/ds
 (mu + s D_a)^(tensor N) at s = 0, D_a = dmu/df_a; KGProjector.lift builds both
 once per call by one copy-sum recurrence of broadcast Kronecker products.  The
-observable side works on stacks (..., D, D): positivity_diagnostic takes every
-projector on one space, draws its test operators once in chunks of at most
-_CHUNK_ENTRIES matrix entries and projects and eigensolves each chunk through
-every projector in turn, so beyond the lifts its peak memory is that of one
-chunk whatever the number of trials or projectors.
+observable side works on stacks (..., D, D).  P Gamma = s 1 + sum_a c_a gbar_a
+with c_a = tr(D_a^(N) Gamma), and gbar_a is a copy average, so the spectrum of
+P Gamma is s plus the N-copy means of the spectrum of the d x d operator
+X = sum_a c_a G_a; positivity_diagnostic reads its extremes there, one chunk
+of test operators at a time, and never eigensolves on d^N.  kg_build_stack
+fits many targets on one observable set by one fit_stack call; kg_build is
+its one-target case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxent import CanonicalState, ObservableSet, fit_maxent, state_derivatives
+from .maxent import (CanonicalState, ObservableSet, fit_maxent, fit_stack,
+                     state_derivatives)
 from .operators import (check_hermitian, hermitian_part, kron, partial_trace,
                         random_test_operators, tensor_power)
 
@@ -63,9 +66,15 @@ class KGProjector:
     def lift(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The n-copy operators (mu^N, gbar, dbar): gbar[a] is the
         copy-averaged G_a and dbar[a] the one-slot insertion of D_a."""
-        mu_n = tensor_power(self.mu, n)     # checks DIM_CAP before d^n work
+        mu_n, dbar = _tangent_lift(self, n)
         gbar = _copy_sum(self.observables.stacked, np.eye(self.dim), n) / n
-        return mu_n, gbar, _copy_sum(self.derivs, self.mu, n)
+        return mu_n, gbar, dbar
+
+
+def _tangent_lift(kg: KGProjector, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mu^N, dbar) alone, for callers that never form gbar."""
+    mu_n = tensor_power(kg.mu, n)       # checks DIM_CAP before d^n work
+    return mu_n, _copy_sum(kg.derivs, kg.mu, n)
 
 
 def _copy_sum(ops: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
@@ -79,11 +88,26 @@ def _copy_sum(ops: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def kg_build_stack(obs: ObservableSet, targets) -> list[KGProjector]:
+    """kg_build at every row of targets (B, m), fitted by one fit_stack call;
+    element i equals kg_build(obs, targets[i]) bit for bit.  Elements are
+    assembled in order and the first failure raises, so a stack raises what
+    the solo builds would in turn."""
+    targets = np.asarray(targets, dtype=float)
+    members = np.broadcast_to(obs.stacked, (len(targets),) + obs.stacked.shape)
+    fits = fit_stack(members, targets)
+    kgs = []
+    for i in range(len(targets)):
+        cs = fits.state(i, obs)
+        kgs.append(KGProjector(observables=obs, f=cs.f, mu=cs.mu,
+                               derivs=state_derivatives(cs)))
+    return kgs
+
+
 def kg_build(obs: ObservableSet, f) -> KGProjector:
-    """Fit the canonical state at f and assemble its tangent operators."""
-    cs = fit_maxent(obs, np.atleast_1d(np.asarray(f, dtype=float)))
-    return KGProjector(observables=obs, f=cs.f, mu=cs.mu,
-                       derivs=state_derivatives(cs))
+    """Fit the canonical state at f and assemble its tangent operators; the
+    one-target case of kg_build_stack."""
+    return kg_build_stack(obs, [np.atleast_1d(f)])[0]
 
 
 def _check_operand(kg: KGProjector, op: np.ndarray, n: int, what: str) -> None:
@@ -97,13 +121,20 @@ def _adjoint(kg: KGProjector, mu_n, dbar, gbar_tau) -> np.ndarray:
     return hermitian_part(mu_n + np.tensordot(gbar_tau - kg.f, dbar, 1))
 
 
-def _project(kg: KGProjector, mu_n, gbar, dbar, gamma) -> np.ndarray:
-    """P Gamma for one observable or a stack (..., D, D) of them; the
-    pairings tr(D_a^(N) Gamma) of every element are one matrix product."""
+def _pairings(kg: KGProjector, mu_n, dbar, gamma):
+    """(c, s), complex as computed, with P Gamma = s 1 + sum_a c_a gbar_a:
+    c_a = tr(D_a^(N) Gamma), s = tr(mu^N Gamma) - c . f, for one observable
+    or a stack (..., D, D) of them, each pairing one matrix product."""
     dim_n, m = gamma.shape[-1], len(kg.f)
     gamma_t = np.swapaxes(gamma, -1, -2).reshape(*gamma.shape[:-2], dim_n ** 2)
     coef = gamma_t @ dbar.reshape(m, dim_n ** 2).T
-    scalar = gamma_t @ mu_n.reshape(dim_n ** 2) - coef @ kg.f
+    return coef, gamma_t @ mu_n.reshape(dim_n ** 2) - coef @ kg.f
+
+
+def _project(kg: KGProjector, mu_n, gbar, dbar, gamma) -> np.ndarray:
+    """P Gamma for one observable or a stack (..., D, D) of them."""
+    dim_n, m = gamma.shape[-1], len(kg.f)
+    coef, scalar = _pairings(kg, mu_n, dbar, gamma)
     out = (coef @ gbar.reshape(m, dim_n ** 2)).reshape(gamma.shape)
     return hermitian_part(out + scalar[..., None, None] * np.eye(dim_n))
 
@@ -138,13 +169,15 @@ def positivity_diagnostic(kgs: Sequence[KGProjector], n: int, trials: int,
     one report per projector of kgs, all acting on the same d^n.
 
     Pure measurement; asserts nothing (positivity preservation has no known
-    certificate for this construction).  The draws depend only on (seed,
-    d^n, trials), so each chunk of test operators is drawn once and
-    projected through every projector in turn; report i equals that of a
-    call on [kgs[i]] alone.  A chunk holds at most _CHUNK_ENTRIES matrix
-    entries (one operator from D = 128 on) and one projected chunk is held
-    at a time, so beyond the lifts memory grows neither with trials nor
-    with len(kgs).
+    certificate for this construction), and a sample can miss the worst
+    case.  Each trial's extreme eigenvalues are s plus those of the d x d
+    X = sum_a c_a G_a (module docstring): one batched d x d eigensolve per
+    chunk and projector, none on d^n.  The draws depend only on (seed, d^n,
+    trials), so each chunk of test operators is drawn once and paired with
+    every projector in turn; report i equals that of a call on [kgs[i]]
+    alone.  A chunk holds at most _CHUNK_ENTRIES matrix entries (one
+    operator from D = 128 on), so beyond mu^N and the D_a^(N) memory grows
+    neither with trials nor with len(kgs).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -153,7 +186,7 @@ def positivity_diagnostic(kgs: Sequence[KGProjector], n: int, trials: int,
     if len({kg.dim for kg in kgs}) > 1:
         raise ValueError("projectors act on different dims "
                          f"{[kg.dim for kg in kgs]}")
-    lifts = [kg.lift(n) for kg in kgs]
+    lifts = [_tangent_lift(kg, n) for kg in kgs]
     dim_n, k = kgs[0].dim ** n, len(kgs)
     chunk = max(1, _CHUNK_ENTRIES // dim_n ** 2)
     lo, hi, violations = np.full(k, np.inf), np.full(k, -np.inf), np.zeros(k)
@@ -161,11 +194,14 @@ def positivity_diagnostic(kgs: Sequence[KGProjector], n: int, trials: int,
         gammas = random_test_operators(seed, dim_n,
                                        range(start, min(start + chunk, trials)))
         for i, (kg, lifted) in enumerate(zip(kgs, lifts)):
-            w = np.linalg.eigvalsh(_project(kg, *lifted, gammas))
-            lo[i] = min(lo[i], w[:, 0].min())
-            hi[i] = max(hi[i], w[:, -1].max())
-            violations[i] += np.count_nonzero((w[:, 0] < -1e-9)
-                                              | (w[:, -1] > 1 + 1e-9))
+            coef, scalar = _pairings(kg, *lifted, gammas)
+            w = np.linalg.eigvalsh(
+                np.tensordot(coef.real, kg.observables.stacked, 1))
+            bottom, top = scalar.real + w[:, 0], scalar.real + w[:, -1]
+            lo[i] = min(lo[i], bottom.min())
+            hi[i] = max(hi[i], top.max())
+            violations[i] += np.count_nonzero((bottom < -1e-9)
+                                              | (top > 1 + 1e-9))
     return [PositivityReport(n_copies=n, trials=trials, min_eig=float(lo[i]),
                              max_eig=float(hi[i]),
                              violation_fraction=int(violations[i]) / trials)
@@ -180,10 +216,10 @@ def gamma_n(kg: KGProjector, rho: np.ndarray, n: int) -> float:
     Only mu^N and dbar are lifted: gbar_a(rho^N) = tr(G_a rho) tr(rho)^(N-1).
     """
     _check_operand(kg, rho, 1, "rho")
-    mu_n = tensor_power(kg.mu, n)       # checks DIM_CAP before d^n work
+    mu_n, dbar = _tangent_lift(kg, n)
     gbar_rho = (kg.observables.expectations(rho)
                 * np.trace(rho).real ** (n - 1))
-    adj = _adjoint(kg, mu_n, _copy_sum(kg.derivs, kg.mu, n), gbar_rho)
+    adj = _adjoint(kg, mu_n, dbar, gbar_rho)
     w = np.linalg.eigvalsh(tensor_power(rho, n) - adj)
     return max(float(np.sum(w[w > 0])), float(-np.sum(w[w < 0])))
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarsegrain import (epsilon_choices, gamma_n, kg_apply_observable,
-                          kg_apply_state, kg_build, positivity_diagnostic,
-                          product_coarse_grain)
+                          kg_apply_state, kg_build_stack,
+                          positivity_diagnostic, product_coarse_grain)
 from .entropy import relative_entropy
 from .hypotest import stein_rate_series
 from .maxent import (InfeasibleTargetError, ObservableSet, expectations,
@@ -305,10 +305,13 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
 
     The hard checks of KG_CHECKS run over dims {2, 3}, m in {1, 2},
     N in {1, ..., min(n_max, 3)}; the positivity measurement is reported but
-    never asserted.  Per dimension both projectors (m = 1, 2) are built
-    first; the test operators of the checks and of the diagnostic depend only
-    on (seed, d^N), so each is drawn once per (d, N) and serves both.  Rows
-    come out in (d, m, N) order.
+    never asserted.  Per dimension both setups (m = 1, 2) are built first,
+    each fitting its kg_rho and kg_sigma in one stacked build; the test
+    operators of the checks and of the diagnostic depend only on
+    (seed, d^N), so each is drawn once per (d, N) and serves both.  The
+    diagnostic reads each P Gamma's extreme eigenvalues from one d x d
+    eigensolve (coarsegrain.positivity_diagnostic).  Rows come out in
+    (d, m, N) order.
     """
     seed, tol = config.seed, SLACK_TOL
     rows = []
@@ -321,8 +324,8 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                 seed, d, m, index=10 * d + m)))
             rho = random_density(seed, d, index=10 * d + m)
             sigma = random_density(seed, d, index=10 * d + m + 1)
-            kg_rho = kg_build(obs, obs.expectations(rho))
-            kg_sigma = kg_build(obs, obs.expectations(sigma))
+            kg_rho, kg_sigma = kg_build_stack(
+                obs, [obs.expectations(rho), obs.expectations(sigma)])
             gammas = {n: gamma_n(kg_sigma, kg_rho.mu, n) for n in n_range}
             setups.append((rho, kg_rho, kg_sigma, gammas,
                            epsilon_choices(max(gammas.values()))))

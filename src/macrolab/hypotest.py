@@ -153,16 +153,20 @@ def _np_search(blocks: list[Block], eps: float
         return excess(split) >= 0
 
     def candidate(t: float, split: list[tuple]):
-        # rho mass in the band and below it; like reaches, the mass that
-        # P_+ misses of eps is taken through the complement
+        # rho mass above, in and below the band.  The mass that P_+ misses
+        # of eps is eps - p_plus, which does not assume that rho's masses
+        # sum to exactly 1; above eps = 1/2 it is taken through the
+        # complement, like reaches, so levels near 1 stay resolved
         parts = []
-        p_zero = p_minus = 0.0
+        p_plus = p_zero = p_minus = 0.0
         for m, v, w, rho_v, _, band in split:
             plus, zero = w > band, np.abs(w) <= band
+            p_plus += m * float(rho_v[plus].sum())
             p_zero += m * float(rho_v[zero].sum())
             p_minus += m * float(rho_v[~(plus | zero)].sum())
             parts.append((v, plus, zero))
-        missing = p_zero + p_minus - (1.0 - eps)
+        missing = (eps - p_plus if eps <= 0.5
+                   else p_zero + p_minus - (1.0 - eps))
         c = min(missing / p_zero, 1.0) if missing > 0 and p_zero > 0 else 0.0
         tests = [(v, np.where(plus, 1.0, np.where(zero, c, 0.0)))
                  for v, plus, zero in parts]

@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -8,10 +9,10 @@ from macrolab.coarsegrain import (_CHUNK_ENTRIES, KGProjector,
                                   canonical_coarse_grain,
                                   epsilon_choices, gamma_n,
                                   kg_apply_observable, kg_apply_state,
-                                  kg_build, positivity_diagnostic,
-                                  product_coarse_grain)
+                                  kg_build, kg_build_stack,
+                                  positivity_diagnostic, product_coarse_grain)
 from macrolab.entropy import relative_entropy
-from macrolab.maxent import ObservableSet, fit_maxent
+from macrolab.maxent import InfeasibleTargetError, ObservableSet, fit_maxent
 from macrolab.operators import (DIM_CAP, random_density, random_observables,
                                 random_test_operator, random_test_operators,
                                 tensor_power)
@@ -79,6 +80,34 @@ class TestKGBuild:
             assert abs(np.trace(da).real) < 1e-10
             for c, gc in enumerate(obs.members):
                 assert abs(np.trace(gc @ da).real - (c == a)) < 1e-8
+
+    def test_stack_matches_solo_builds(self):
+        for seed in range(5):
+            for dim in (2, 3):
+                for m in (1, 2):
+                    obs = seeded_set(seed, dim, m, index=m)
+                    targets = [obs.expectations(random_density(seed, dim,
+                                                               index=i))
+                               for i in range(3)]
+                    for kg, f in zip(kg_build_stack(obs, targets), targets):
+                        solo = kg_build(obs, f)
+                        assert np.array_equal(kg.f, solo.f)
+                        assert np.array_equal(kg.mu, solo.mu)
+                        assert np.array_equal(kg.derivs, solo.derivs)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_stack_raises_the_solo_error(self, bad):
+        obs = seeded_set(29, 3, 2, index=2)
+        feasible = obs.expectations(random_density(29, 3))
+        # beyond the top eigenvalue of G_0: no state reaches it
+        infeasible = np.array([np.linalg.eigvalsh(obs.members[0])[-1] + 1, 0])
+        targets = [feasible, feasible]
+        targets[bad] = infeasible
+        with pytest.raises(InfeasibleTargetError) as solo:
+            kg_build(obs, targets[bad])
+        with pytest.raises(InfeasibleTargetError) as stacked:
+            kg_build_stack(obs, targets)
+        assert str(stacked.value) == str(solo.value)
 
     def test_empty_set_degenerate(self):
         kg = kg_build(ObservableSet(2, ()), [])
@@ -277,6 +306,50 @@ class TestPositivityDiagnostic:
                 assert abs(report.min_eig - min(w[0] for w in eigs)) < 1e-12
                 assert abs(report.max_eig - max(w[-1] for w in eigs)) < 1e-12
                 assert report.violation_fraction == violations / 30
+
+    def test_dense_spectrum_is_one_copy_means(self):
+        # P Gamma = s 1 + sum_a c_a gbar_a and gbar_a is a copy average, so
+        # its spectrum is s plus the N-copy means of spec(sum_a c_a G_a)
+        for dim in (2, 3):
+            for m in (0, 1, 2):
+                obs = seeded_set(30, dim, m, index=m)
+                kg = kg_build(obs, obs.expectations(random_density(30, dim)))
+                for n in (1, 2, 3):
+                    gamma = random_test_operator(30, dim ** n, index=n)
+                    dense = np.linalg.eigvalsh(kg_project(kg, gamma, n))
+                    c = np.array([np.trace(lifted_deriv(kg, a, n) @ gamma).real
+                                  for a in range(m)])
+                    s = (np.trace(tensor_power(kg.mu, n) @ gamma).real
+                         - c @ kg.f)
+                    x = np.linalg.eigvalsh(
+                        sum((ca * g for ca, g in zip(c, obs.members)),
+                            np.zeros((dim, dim), dtype=complex)))
+                    means = sorted(s + np.mean(ks)
+                                   for ks in itertools.product(x, repeat=n))
+                    np.testing.assert_allclose(dense, means, rtol=0,
+                                               atol=1e-14)
+
+    def test_eigensolves_only_one_copy_operators(self, monkeypatch):
+        cases = [(2, 3), (3, 2), (2, 6)]
+        kgs = {(dim, n): [kg_build(obs, obs.expectations(
+            random_density(31, dim))) for obs in (
+                seeded_set(31, dim, m, index=m) for m in (1, 2))]
+            for dim, n in cases}
+        shapes = []
+
+        def recording(solver):
+            def solve(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return solver(a, *args, **kwargs)
+            return solve
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                recording(getattr(np.linalg, name)))
+        for dim, n in cases:
+            del shapes[:]
+            positivity_diagnostic(kgs[dim, n], n, trials=30, seed=31)
+            assert shapes and all(sh[-2:] == (dim, dim) for sh in shapes)
 
     def test_shared_draws_match_one_projector_calls(self):
         # at d = 2, N = 6 the 30 trials span several chunks, the last partial

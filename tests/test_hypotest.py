@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import macrolab.hypotest as hypotest
 from macrolab.entropy import relative_entropy, von_neumann
@@ -291,6 +291,9 @@ class TestSchurWeylBlocks:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 12.0), st.floats(0.0, 12.0), st.integers(1, 24),
            st.floats(0.01, 0.99))
+    # rho's masses sum to 1 only up to 5.5e-17 here, 4.8e-9 of the 1.15e-8
+    # mass that the fractional weight must carry
+    @example(p_exp=1e-08, q_exp=7.0, n=1, eps=0.5)
     def test_extreme_commuting_spectra(self, p_exp, q_exp, n, eps):
         # smallest eigenvalues from 1 down to 1e-12; the search terminates by
         # its step cap whatever the threshold, so no wall-clock bound is set
