@@ -1,4 +1,4 @@
-"""Von Neumann entropy and quantum relative entropy, in nats.
+"""Quantum relative entropy, in nats.
 
 relative_entropy takes one pair of d x d operators or two stacks
 (..., d, d) of them, and returns a float for one pair and an array over the
@@ -16,18 +16,6 @@ import numpy as np
 from .operators import PSD_ATOL, check_hermitian, eig, in_support
 
 SUPPORT_LEAK_TOL = 1e-10
-
-
-def von_neumann(rho: np.ndarray) -> float:
-    """-sum w ln w over the spectrum, with 0 ln 0 = 0.
-
-    Eigenvalues at or below LOG_SUPPORT_RTOL relative to the largest one are
-    kernel.  Rejects non-Hermitian input.
-    """
-    check_hermitian(rho)
-    w = np.linalg.eigvalsh(rho)
-    w = w[in_support(w)]
-    return float(-np.sum(w * np.log(w)))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray):

@@ -2,16 +2,17 @@
 
 Each experiment draws everything it needs from per-trial RNG streams derived
 from (seed, trial index), so results are identical regardless of execution
-order.  The four sweeps draw per trial and compute on stacks: trials are
-grouped by dimension, each group is fitted and compared by a few stacked
-calls of maxent.fit_stack and relative_entropy instead of one call per
-trial, and rows come out in trial order.  A stacked result is bit-identical
-to the result computed alone, so a run of T trials gives the first T rows
-of any longer run.  A run is one shape for every experiment: named columns,
-rows of raw values, and named hard checks.  The four sweeps share the
-columns trial, dim, m, S_before, S_after, slack, pass; stein and kg-checks
-have their own.  Each check reports the worst value over the run, the bound
-it was compared with, and whether every comparison held.
+order.  The four sweeps draw and compute on stacks: trials are grouped by
+dimension, each group's inputs come from one stacked draw per draw type
+(still one RNG stream per trial index), each group is fitted and compared by
+a few stacked calls of maxent.fit_stack and relative_entropy instead of one
+call per trial, and rows come out in trial order.  A stacked result is
+bit-identical to the result computed alone, so a run of T trials gives the
+first T rows of any longer run.  A run is one shape for every experiment:
+named columns, rows of raw values, and named hard checks.  The four sweeps
+share the columns trial, dim, m, S_before, S_after, slack, pass; stein and
+kg-checks have their own.  Each check reports the worst value over the run,
+the bound it was compared with, and whether every comparison held.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from .entropy import relative_entropy
 from .hypotest import stein_rate_series
 from .maxent import (InfeasibleTargetError, ObservableSet, expectations,
                      fit_stack)
-from .operators import (apply_channel, dagger, partial_trace, random_density,
-                        random_kraus, random_observables, random_test_operator,
-                        random_unitary, tensor_power)
+from .operators import (apply_channels, dagger, partial_trace,
+                        random_densities, random_density, random_kraus_sets,
+                        random_observable_sets, random_observables,
+                        random_test_operators, random_unitaries, tensor_power)
 
 SLACK_TOL = 1e-9    # an entropy difference passes at >= -SLACK_TOL
 
@@ -125,21 +127,6 @@ def _dim_groups(config: ExperimentConfig) -> list[tuple[int, np.ndarray]]:
             for start, d in enumerate((2, 3, 4)) if start < config.trials]
 
 
-def _observables(seed: int, d: int, m: int, indices) -> np.ndarray:
-    """random_observables at each trial's index, stacked (B, m, d, d).  The
-    draws are orthonormal to the identity and to each other, so they need
-    no ObservableSet check."""
-    return np.array([random_observables(seed, d, m, index=int(i))
-                     for i in indices], dtype=complex
-                    ).reshape(len(indices), m, d, d)
-
-
-def _densities(seed: int, d: int, indices) -> np.ndarray:
-    """random_density at each index, stacked (B, d, d)."""
-    return np.array([random_density(seed, d, index=int(i))
-                     for i in indices]).reshape(len(indices), d, d)
-
-
 def _feasible_fits(g: np.ndarray, seed: int,
                    offset: int) -> tuple[np.ndarray, dict, int]:
     """Draw a state per trial, measure it on the trial's members g[t], fit:
@@ -155,7 +142,7 @@ def _feasible_fits(g: np.ndarray, seed: int,
     todo, redraws = np.arange(len(g)), 0
     for k in range(20):
         fit = fit_stack(g[todo], expectations(
-            g[todo], _densities(seed, d, todo * 1000 + offset + k)))
+            g[todo], random_densities(seed, d, todo * 1000 + offset + k)))
         mu[todo] = fit.mu
         todo = todo[~fit.ok]
         redraws += todo.size
@@ -177,7 +164,7 @@ def run_process(config: ExperimentConfig) -> RunResult:
     """
     seed, n, m = config.seed, config.trials, config.m
     d = config.dim if config.dim is not None else 4
-    g = _observables(seed, d, m, [t * 100 for t in range(n)])
+    g = random_observable_sets(seed, d, m, [t * 100 for t in range(n)])
     # mu_g (draw offset 0), then mu_gp (offset 100)
     prepared, failures, redraws = [], [], 0
     for pos, offset in enumerate((0, 100)):
@@ -186,9 +173,8 @@ def run_process(config: ExperimentConfig) -> RunResult:
         failures += [(t, pos, err) for t, err in lost.items()]
         redraws += r
     kept = sorted(set(range(n)) - {t for t, _, _ in failures})
-    u = np.array([random_unitary(seed, d, index=t) for t in kept]
-                 ).reshape(len(kept), d, d)
-    f = _observables(seed, d, m, [t * 100 + 1 for t in kept])
+    u = random_unitaries(seed, d, kept)
+    f = random_observable_sets(seed, d, m, [t * 100 + 1 for t in kept])
     # mu_f, then mu_fp
     final = []
     for pos, mu in enumerate(prepared, 2):
@@ -217,10 +203,10 @@ def run_monotonicity(config: ExperimentConfig) -> RunResult:
     seed, trials, redraws = config.seed, [], 0
     for d, ts in _dim_groups(config):
         m = min(config.m, d * d - 1)
-        g = _observables(seed, d, m, ts)
+        g = random_observable_sets(seed, d, m, ts)
         g = np.concatenate([g, g])
-        rho = _densities(seed, d, 2 * ts)
-        sigma = _densities(seed, d, 2 * ts + 1)
+        rho = random_densities(seed, d, 2 * ts)
+        sigma = random_densities(seed, d, 2 * ts + 1)
         fit = fit_stack(g, expectations(g, np.concatenate([rho, sigma])))
         ok = np.logical_and(*np.split(fit.ok, 2))
         redraws += int(np.sum(~ok))
@@ -241,8 +227,8 @@ def run_product(config: ExperimentConfig) -> RunResult:
     dims = config.dims if config.dims is not None else (2, 2)
     d = dims[0] * dims[1]
     n = config.trials
-    rho = _densities(config.seed, d, 2 * np.arange(n))
-    sigma = _densities(config.seed, d, 2 * np.arange(n) + 1)
+    rho = random_densities(config.seed, d, 2 * np.arange(n))
+    sigma = random_densities(config.seed, d, 2 * np.arange(n) + 1)
     s_full = relative_entropy(rho, sigma).tolist()
     s_prod = relative_entropy(product_coarse_grain(rho, dims),
                               product_coarse_grain(sigma, dims)).tolist()
@@ -256,18 +242,21 @@ def run_product(config: ExperimentConfig) -> RunResult:
 
 
 def run_lindblad(config: ExperimentConfig) -> RunResult:
-    """Lindblad monotonicity under random CPTP channels."""
+    """Lindblad monotonicity under random CPTP channels: trial t applies
+    1 + t % 4 Kraus operators, and the trials of one Kraus count take their
+    channels as one stack."""
     seed, trials = config.seed, []
     for d, ts in _dim_groups(config):
-        n_kraus = (1 + ts % 4).tolist()
-        rho = _densities(seed, d, 2 * ts)
-        sigma = _densities(seed, d, 2 * ts + 1)
-        kraus = [random_kraus(seed, d, k, index=int(t))
-                 for t, k in zip(ts, n_kraus)]
-        out = [np.array([apply_channel(x, k) for x, k in zip(states, kraus)])
-               for states in (rho, sigma)]
-        trials += zip(ts.tolist(), [d] * len(ts), n_kraus,
-                      relative_entropy(rho, sigma).tolist(),
+        n_kraus = 1 + ts % 4
+        states = np.stack([random_densities(seed, d, 2 * ts),
+                           random_densities(seed, d, 2 * ts + 1)])
+        out = np.empty_like(states)
+        for k in np.unique(n_kraus):
+            group = n_kraus == k
+            kraus = random_kraus_sets(seed, d, int(k), ts[group])
+            out[:, group] = [apply_channels(x[group], kraus) for x in states]
+        trials += zip(ts.tolist(), [d] * len(ts), n_kraus.tolist(),
+                      relative_entropy(*states).tolist(),
                       relative_entropy(*out).tolist())
     return _sweep_result(config, sorted(trials))
 
@@ -329,8 +318,7 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
             gammas = {n: gamma_n(kg_sigma, kg_rho.mu, n) for n in n_range}
             setups.append((rho, kg_rho, kg_sigma, gammas,
                            epsilon_choices(max(gammas.values()))))
-        draws = {n: (random_test_operator(seed, d ** n, index=100 + n),
-                     random_test_operator(seed, d ** n, index=200 + n),
+        draws = {n: (*random_test_operators(seed, d ** n, (100 + n, 200 + n)),
                      random_density(seed, d ** n, index=300 + n))
                  for n in n_range}
         kg_rhos = [kg_rho for _, kg_rho, *_ in setups]

@@ -156,6 +156,22 @@ def _complex_gaussian(rng: np.random.Generator, dim: int,
     return rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
 
 
+def _complex_gaussians(seed: int, tag: int, indices: Sequence[int], dim: int,
+                       cols: int | None = None) -> np.ndarray:
+    """Stack (k, dim, cols) of complex Gaussians, element j the first draw
+    of the stream (seed, tag, indices[j])."""
+    g = np.empty((len(indices), dim, dim if cols is None else cols),
+                 dtype=complex)
+    for j, index in enumerate(indices):
+        g[j] = _complex_gaussian(_rng(seed, tag, index), dim, cols)
+    return g
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    """Trace over the last two axes, kept as a (..., 1, 1) factor."""
+    return np.trace(a, axis1=-2, axis2=-1)[..., None, None]
+
+
 def _haar_q(g: np.ndarray) -> np.ndarray:
     """Q of g's QR, for a matrix or a stack, with the phases of R's diagonal
     moved into Q's columns: Haar-distributed for a complex Gaussian g."""
@@ -164,16 +180,34 @@ def _haar_q(g: np.ndarray) -> np.ndarray:
     return q * (phases / np.abs(phases))[..., None, :]
 
 
+# Each stacked draw below takes its element j from the stream of indices[j]
+# alone, so an element is bit-identical whatever else is in its stack; the
+# solo draws are their one-index case.
+
+def random_densities(seed: int, dim: int,
+                     indices: Sequence[int]) -> np.ndarray:
+    """Stack (k, dim, dim) of full-rank Hilbert-Schmidt-style density
+    matrices: G G^dagger normalized."""
+    g = _complex_gaussians(seed, _TAG_DENSITY, indices, dim)
+    rho = g @ dagger(g)
+    return hermitian_part(rho / _trace(rho).real)
+
+
 def random_density(seed: int, dim: int, index: int = 0) -> np.ndarray:
-    """Full-rank Hilbert-Schmidt-style density matrix: G G^dagger normalized."""
-    g = _complex_gaussian(_rng(seed, _TAG_DENSITY, index), dim)
-    rho = g @ g.conj().T
-    return hermitian_part(rho / np.trace(rho).real)
+    """The one-index case of random_densities."""
+    return random_densities(seed, dim, (index,))[0]
+
+
+def random_unitaries(seed: int, dim: int,
+                     indices: Sequence[int]) -> np.ndarray:
+    """Stack (k, dim, dim) of Haar-style unitaries: QR of a complex Gaussian
+    with phase fixing."""
+    return _haar_q(_complex_gaussians(seed, _TAG_UNITARY, indices, dim))
 
 
 def random_unitary(seed: int, dim: int, index: int = 0) -> np.ndarray:
-    """Haar-style unitary: QR of a complex Gaussian with phase fixing."""
-    return _haar_q(_complex_gaussian(_rng(seed, _TAG_UNITARY, index), dim))
+    """The one-index case of random_unitaries."""
+    return random_unitaries(seed, dim, (index,))[0]
 
 
 def random_hermitian(seed: int, dim: int, index: int = 0) -> np.ndarray:
@@ -181,28 +215,41 @@ def random_hermitian(seed: int, dim: int, index: int = 0) -> np.ndarray:
     return hermitian_part(g)
 
 
-def random_observables(seed: int, dim: int, m: int,
-                       index: int = 0) -> list[np.ndarray]:
-    """m Hermitian Gaussian draws, trace-orthonormalized against the identity
-    and against each other: tr(G_a) = 0, tr(G_a G_b) = delta_ab, so
-    0 <= m <= dim^2 - 1.
+def random_observable_sets(seed: int, dim: int, m: int,
+                           indices: Sequence[int]) -> np.ndarray:
+    """Stack (k, m, dim, dim) of m Hermitian Gaussian draws each,
+    trace-orthonormalized against the identity and against each other:
+    tr(G_a) = 0, tr(G_a G_b) = delta_ab, so 0 <= m <= dim^2 - 1.  Such a set
+    needs no ObservableSet check.
+
+    Member a of every element is drawn, projected and normalized at once; an
+    element whose draw is degenerate (norm < 1e-8 after the projection)
+    draws again from its own stream, as often as it takes.
     """
     if not 0 <= m < dim * dim:
         raise ValueError(f"{m} observables do not fit in dimension {dim}")
-    rng = _rng(seed, _TAG_OBSERVABLES, index)
-    basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    out = []
-    while len(out) < m:
-        g = hermitian_part(_complex_gaussian(rng, dim))
-        for b in basis:
-            g = g - np.trace(b.conj().T @ g).real * b
-        norm = np.sqrt(np.trace(g @ g).real)
-        if norm < 1e-8:
-            continue
-        g = hermitian_part(g / norm)
-        basis.append(g)
-        out.append(g)
-    return out
+    rngs = [_rng(seed, _TAG_OBSERVABLES, index) for index in indices]
+    basis = np.empty((len(rngs), m + 1, dim, dim), dtype=complex)
+    basis[:, 0] = np.eye(dim, dtype=complex) / np.sqrt(dim)
+    for a in range(1, m + 1):
+        todo = np.arange(len(rngs))
+        while todo.size:
+            g = hermitian_part(np.stack([_complex_gaussian(rngs[j], dim)
+                                         for j in todo]))
+            for b in basis[todo, :a].swapaxes(0, 1):
+                g = g - _trace(dagger(b) @ g).real * b
+            norm = np.sqrt(_trace(g @ g).real)
+            degenerate = (norm < 1e-8)[:, 0, 0]
+            keep = ~degenerate
+            basis[todo[keep], a] = hermitian_part(g[keep] / norm[keep])
+            todo = todo[degenerate]
+    return basis[:, 1:]
+
+
+def random_observables(seed: int, dim: int, m: int,
+                       index: int = 0) -> list[np.ndarray]:
+    """The one-index case of random_observable_sets, as a list."""
+    return list(random_observable_sets(seed, dim, m, (index,))[0])
 
 
 def random_test_operator(seed: int, dim: int, index: int = 0) -> np.ndarray:
@@ -224,24 +271,40 @@ def random_test_operators(seed: int, dim: int,
     return hermitian_part((q * w) @ dagger(q))
 
 
+def random_kraus_sets(seed: int, dim: int, n_ops: int,
+                      indices: Sequence[int]) -> np.ndarray:
+    """Stack (k, n_ops, dim, dim) of random Kraus sets, each the n_ops
+    dim x dim blocks of a Haar-style isometry from dim to n_ops*dim."""
+    q = _haar_q(_complex_gaussians(seed, _TAG_KRAUS, indices, n_ops * dim,
+                                   dim))
+    return q.reshape(len(indices), n_ops, dim, dim)
+
+
 def random_kraus(seed: int, dim: int, n_ops: int,
-                 index: int = 0) -> list[np.ndarray]:
-    """Random Kraus set via a Haar-style isometry from dim to n_ops*dim."""
-    q = _haar_q(_complex_gaussian(_rng(seed, _TAG_KRAUS, index), n_ops * dim,
-                                  dim))
-    return [q[i * dim:(i + 1) * dim, :] for i in range(n_ops)]
+                 index: int = 0) -> np.ndarray:
+    """The one-index case of random_kraus_sets: (n_ops, dim, dim)."""
+    return random_kraus_sets(seed, dim, n_ops, (index,))[0]
 
 
-def kraus_completeness_error(kraus: list[np.ndarray]) -> float:
-    dim = kraus[0].shape[1]
-    s = sum(k.conj().T @ k for k in kraus)
-    return float(np.max(np.abs(s - np.eye(dim))))
+def kraus_completeness_error(kraus) -> float:
+    """Largest entry of |sum_i K_i^dagger K_i - 1| over a Kraus set
+    (n, d, d), or over a stack (..., n, d, d) of them."""
+    kraus = np.asarray(kraus)
+    s = (dagger(kraus) @ kraus).sum(axis=-3)
+    return float(np.max(np.abs(s - np.eye(kraus.shape[-1])), initial=0.0))
 
 
-def apply_channel(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    """Apply a CPTP channel given by its Kraus operators."""
+def apply_channels(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """Apply channel i, given by its Kraus operators kraus[i], to rho[i]:
+    stacks (B, d, d) and (B, n, d, d).  One completeness check covers the
+    stack and reports its worst set."""
     err = kraus_completeness_error(kraus)
     if err > TRACE_ATOL:
         raise ValueError(f"incomplete Kraus set: completeness error {err:.3e}")
-    out = sum(k @ rho @ k.conj().T for k in kraus)
+    out = (kraus @ rho[:, None] @ dagger(kraus)).sum(axis=1)
     return hermitian_part(out)
+
+
+def apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
+    """Apply a CPTP channel given by its Kraus operators."""
+    return apply_channels(rho[None], np.asarray(kraus)[None])[0]

@@ -6,9 +6,11 @@ import math
 import numpy as np
 
 from macrolab.hypotest import np_optimal_test
-from macrolab.operators import (_TAG_TEST_OP, LOG_SUPPORT_RTOL, PSD_ATOL,
-                                eig, embed_at_slot, frechet_exp,
-                                hermitian_part, random_test_operator,
+from macrolab.operators import (_TAG_DENSITY, _TAG_KRAUS, _TAG_OBSERVABLES,
+                                _TAG_TEST_OP, _TAG_UNITARY, LOG_SUPPORT_RTOL,
+                                PSD_ATOL, TRACE_ATOL, check_hermitian, eig,
+                                embed_at_slot, frechet_exp, hermitian_part,
+                                in_support, random_test_operator,
                                 tensor_power)
 
 
@@ -35,6 +37,18 @@ def op_log_on_support(h: np.ndarray) -> np.ndarray:
     cut = LOG_SUPPORT_RTOL * max(float(w[-1]), 0.0)
     lw = np.where(w > cut, np.log(np.maximum(w, 1e-300)), 0.0)
     return hermitian_part((v * lw) @ v.conj().T)
+
+
+def von_neumann(rho: np.ndarray) -> float:
+    """-sum w ln w over the spectrum, with 0 ln 0 = 0.
+
+    Eigenvalues at or below LOG_SUPPORT_RTOL relative to the largest one are
+    kernel.  Rejects non-Hermitian input.
+    """
+    check_hermitian(rho)
+    w = np.linalg.eigvalsh(rho)
+    w = w[in_support(w)]
+    return float(-np.sum(w * np.log(w)))
 
 
 def pos_neg_parts(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,15 +121,78 @@ def lifted_deriv(kg, a: int, n: int) -> np.ndarray:
                for k in range(n))
 
 
+# The seeded draws one at a time, each from its own stream
+# default_rng([seed, tag, index]): the stacked draws must equal them bit for
+# bit.
+
+def gaussian(rng: np.random.Generator, rows: int,
+             cols: int) -> np.ndarray:
+    return (rng.standard_normal((rows, cols))
+            + 1j * rng.standard_normal((rows, cols)))
+
+
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def solo_test_operator(seed: int, dim: int, index: int) -> np.ndarray:
     """One test operator drawn and factored on its own: a complex Gaussian,
     its phase-fixed QR, then a uniform [0, 1] spectrum."""
     rng = np.random.default_rng([seed, _TAG_TEST_OP, index])
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    q = _phase_fixed_q(gaussian(rng, dim, dim))
     w = rng.uniform(0.0, 1.0, dim)
     return hermitian_part((q * w) @ q.conj().T)
+
+
+def solo_density(seed: int, dim: int, index: int) -> np.ndarray:
+    """G G^dagger over its trace, for one complex Gaussian G."""
+    g = gaussian(np.random.default_rng([seed, _TAG_DENSITY, index]), dim, dim)
+    rho = g @ g.conj().T
+    return hermitian_part(rho / np.trace(rho).real)
+
+
+def solo_unitary(seed: int, dim: int, index: int) -> np.ndarray:
+    rng = np.random.default_rng([seed, _TAG_UNITARY, index])
+    return _phase_fixed_q(gaussian(rng, dim, dim))
+
+
+def solo_observables(seed: int, dim: int, m: int, index: int,
+                     draw=gaussian) -> list[np.ndarray]:
+    """Gram-Schmidt of Hermitian draws against 1 and each other, one member
+    at a time; a draw with norm < 1e-8 left is drawn again.  draw(rng, d, d)
+    makes each complex Gaussian."""
+    rng = np.random.default_rng([seed, _TAG_OBSERVABLES, index])
+    basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
+    out = []
+    while len(out) < m:
+        g = hermitian_part(draw(rng, dim, dim))
+        for b in basis:
+            g = g - np.trace(b.conj().T @ g).real * b
+        norm = np.sqrt(np.trace(g @ g).real)
+        if norm < 1e-8:
+            continue
+        g = hermitian_part(g / norm)
+        basis.append(g)
+        out.append(g)
+    return out
+
+
+def solo_kraus(seed: int, dim: int, n_ops: int,
+               index: int) -> list[np.ndarray]:
+    """The n_ops dim x dim blocks of one Haar-style isometry."""
+    rng = np.random.default_rng([seed, _TAG_KRAUS, index])
+    q = _phase_fixed_q(gaussian(rng, n_ops * dim, dim))
+    return [q[i * dim:(i + 1) * dim, :] for i in range(n_ops)]
+
+
+def solo_apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
+    """sum_i K_i rho K_i^dagger, after checking sum_i K_i^dagger K_i = 1."""
+    s = sum(k.conj().T @ k for k in kraus)
+    err = float(np.max(np.abs(s - np.eye(rho.shape[0]))))
+    if err > TRACE_ATOL:
+        raise ValueError(f"incomplete Kraus set: completeness error {err:.3e}")
+    return hermitian_part(sum(k @ rho @ k.conj().T for k in kraus))
 
 
 def kg_gamma_n(kg, rho: np.ndarray, n: int) -> float:

@@ -11,8 +11,7 @@ from macrolab.entropy import relative_entropy
 from macrolab.harness import ExperimentConfig, run_experiment
 from macrolab.maxent import (InfeasibleTargetError, ObservableSet, fit_maxent,
                              fit_stack)
-from macrolab.operators import (random_density, random_observables,
-                                random_unitary)
+from macrolab.operators import random_density, random_observables
 
 SWEEPS = ("process", "monotonicity", "product", "lindblad")
 
@@ -109,14 +108,14 @@ def process_per_trial(config):
         prepared = []
         for offset in (0, 100):
             for k in range(20):
-                rho = harness.random_density(
-                    seed, d, index=trial * 1000 + offset + k)
+                rho = harness.random_densities(
+                    seed, d, [trial * 1000 + offset + k])[0]
                 try:
                     prepared.append(canonical_coarse_grain(rho, g_obs).mu)
                     break
                 except InfeasibleTargetError:
                     redraws += 1
-        u = harness.random_unitary(seed, d, index=trial)
+        u = harness.random_unitaries(seed, d, [trial])[0]
         final = [canonical_coarse_grain(u @ mu @ u.conj().T, f_obs).mu
                  for mu in prepared]
         rows.append((trial, d, m, relative_entropy(*prepared),
@@ -124,16 +123,32 @@ def process_per_trial(config):
     return rows, redraws
 
 
+def swap_draws(monkeypatch, name, bad_draw):
+    """Route the stacked draw harness.<name> through the real one, then put
+    bad_draw(seed, dim, index) in place of every element for which it
+    returns an operator rather than None."""
+    real = getattr(harness, name)
+
+    def draws(s, d, indices):
+        out = real(s, d, indices)
+        for j, index in enumerate(indices):
+            bad = bad_draw(s, d, int(index))
+            if bad is not None:
+                out[j] = bad
+        return out
+    monkeypatch.setattr(harness, name, draws)
+
+
 def infeasible_draws(monkeypatch, seed, m, bad):
-    """Make the draws at the indices in bad return 10 G_1 of the trial's
-    preparation observables: tr(G_1 10 G_1) = 10 lies outside G_1's
+    """Make the density draws at the indices in bad return 10 G_1 of the
+    trial's preparation observables: tr(G_1 10 G_1) = 10 lies outside G_1's
     spectrum, so the fit of that draw fails."""
-    def draw(s, d, index=0):
+    def draw(s, d, index):
         if index in bad:
-            g1 = random_observables(s, d, m, index=(index // 1000) * 100)[0]
-            return 10 * g1
-        return random_density(s, d, index=index)
-    monkeypatch.setattr(harness, "random_density", draw)
+            return 10 * random_observables(
+                s, d, m, index=(index // 1000) * 100)[0]
+        return None
+    swap_draws(monkeypatch, "random_densities", draw)
 
 
 class TestRedraws:
@@ -161,10 +176,9 @@ class TestRedraws:
             self, monkeypatch):
         # a "unitary" 10 * 1 scales the evolved states out of the feasible
         # set in trials 2 and 5; the per-trial loop stops at trial 2
-        def unitary(s, d, index=0):
-            return (10 * np.eye(d) if index in (2, 5)
-                    else random_unitary(s, d, index=index))
-        monkeypatch.setattr(harness, "random_unitary", unitary)
+        def unitary(s, d, index):
+            return 10 * np.eye(d) if index in (2, 5) else None
+        swap_draws(monkeypatch, "random_unitaries", unitary)
         config = ExperimentConfig(experiment="process", trials=7, seed=5,
                                   m=2)
         with pytest.raises(InfeasibleTargetError) as loop:
@@ -180,11 +194,11 @@ class TestRedraws:
         # sigma of trial 4 (index 9) is 10 G_1 of that trial's observables
         d, m = 3, 2
 
-        def draw(s, dim, index=0):
+        def draw(s, dim, index):
             if index == 9:
                 return 10 * random_observables(s, d, m, index=4)[0]
-            return random_density(s, dim, index=index)
-        monkeypatch.setattr(harness, "random_density", draw)
+            return None
+        swap_draws(monkeypatch, "random_densities", draw)
         result = run_experiment(config)
         assert result.redraws == 1
         assert bits(result.rows) == bits(r for r in clean.rows if r[0] != 4)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macrolab.entropy import relative_entropy, von_neumann
+from macrolab.entropy import relative_entropy
 from macrolab.operators import (apply_channel, random_density, random_kraus,
                                 random_unitary)
-from oracles import op_log_on_support, trace_distance
+from oracles import op_log_on_support, trace_distance, von_neumann
 
 
 class TestVonNeumann:

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import macrolab.hypotest as hypotest
-from macrolab.entropy import relative_entropy, von_neumann
+from macrolab.entropy import relative_entropy
 from macrolab.hypotest import (np_optimal_test, prob_eps_tensor,
                                stein_rate_series)
 from macrolab.operators import (LOG_SUPPORT_RTOL, apply_channel, eig,
                                 hermitian_part, random_density, random_kraus,
                                 random_unitary, tensor_power)
 from oracles import (classical_np_oracle, sampled_gamma_bound,
-                     type_class_oracle)
+                     type_class_oracle, von_neumann)
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)

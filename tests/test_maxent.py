@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macrolab.entropy import von_neumann
 from macrolab.maxent import (InfeasibleTargetError, ObservableSet,
                              canonical_from_lambda, covariance, fit_maxent,
                              state_derivatives)
 from macrolab.operators import (hermitian_part, random_density,
                                 random_hermitian, random_observables)
-from oracles import frechet_covariance, frechet_state_derivatives, op_exp
+from oracles import (frechet_covariance, frechet_state_derivatives, op_exp,
+                     von_neumann)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macrolab.operators import (apply_channel, check_hermitian, eig,
+import macrolab.operators as operators
+from macrolab.operators import (_TAG_OBSERVABLES, apply_channel,
+                                apply_channels, check_hermitian, eig,
                                 frechet_exp, hermitian_part, kron,
                                 kraus_completeness_error, partial_trace,
-                                random_density, random_hermitian,
-                                random_kraus, random_observables,
-                                random_test_operator, random_test_operators,
+                                random_densities, random_density,
+                                random_hermitian, random_kraus,
+                                random_kraus_sets, random_observable_sets,
+                                random_observables, random_test_operator,
+                                random_test_operators, random_unitaries,
                                 random_unitary, tensor_power)
 from oracles import (depolarizing_kraus, op_exp, op_log_on_support,
-                     pos_neg_parts, solo_test_operator, trace_norm)
+                     pos_neg_parts, solo_apply_channel, solo_density,
+                     solo_kraus, solo_observables, solo_test_operator,
+                     solo_unitary, trace_norm)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -286,6 +292,107 @@ class TestRandomSuite:
     def test_kraus_completeness(self):
         kraus = random_kraus(12, 2, 3)
         assert kraus_completeness_error(kraus) < 1e-10
+
+
+# unsorted, with a repeat and a large index
+INDICES = [7, 0, 7, 10**12, 3]
+STACK_DIMS = [2, 3, 4, 8, 27]
+
+
+def same(stack, solo):
+    return all(np.array_equal(a, b) for a, b in zip(stack, solo, strict=True))
+
+
+class TestStackedDraws:
+    """Each stacked draw equals a loop of solo draws, one stream per index,
+    bit for bit; the solo draws in oracles.py are the code the stacks
+    replaced."""
+
+    @pytest.mark.parametrize("dim", STACK_DIMS)
+    def test_densities_and_unitaries(self, dim):
+        rho = random_densities(5, dim, INDICES)
+        u = random_unitaries(5, dim, INDICES)
+        assert rho.shape == u.shape == (len(INDICES), dim, dim)
+        assert same(rho, [solo_density(5, dim, i) for i in INDICES])
+        assert same(u, [solo_unitary(5, dim, i) for i in INDICES])
+        assert np.array_equal(random_density(5, dim, index=3), rho[4])
+        assert np.array_equal(random_unitary(5, dim, index=3), u[4])
+
+    @pytest.mark.parametrize("dim", STACK_DIMS)
+    def test_observable_sets(self, dim):
+        for m in (1, 2, 3):
+            sets = random_observable_sets(5, dim, m, INDICES)
+            assert sets.shape == (len(INDICES), m, dim, dim)
+            for got, i in zip(sets, INDICES):
+                assert same(got, solo_observables(5, dim, m, i))
+            assert same(random_observables(5, dim, m, index=3), sets[4])
+
+    @pytest.mark.parametrize("dim", STACK_DIMS)
+    def test_kraus_sets(self, dim):
+        for n_ops in (1, 2, 3, 4):
+            sets = random_kraus_sets(5, dim, n_ops, INDICES)
+            assert sets.shape == (len(INDICES), n_ops, dim, dim)
+            for got, i in zip(sets, INDICES):
+                assert same(got, solo_kraus(5, dim, n_ops, i))
+            assert same(random_kraus(5, dim, n_ops, index=3), sets[4])
+
+    def test_empty_stacks(self):
+        for draw in (random_densities, random_unitaries,
+                     random_test_operators):
+            assert draw(5, 3, []).shape == (0, 3, 3)
+        assert random_observable_sets(5, 3, 2, []).shape == (0, 2, 3, 3)
+        assert random_kraus_sets(5, 3, 2, []).shape == (0, 2, 3, 3)
+        assert apply_channels(np.zeros((0, 3, 3), complex),
+                              np.zeros((0, 2, 3, 3), complex)).shape \
+            == (0, 3, 3)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_degenerate_observable_draw_is_drawn_again(self, dim,
+                                                        monkeypatch):
+        # the first Gaussian of index 7's stream becomes 2.5 * 1, which
+        # vanishes against the identity; that element draws again from its
+        # own stream, the others are untouched
+        fresh = np.random.default_rng([5, _TAG_OBSERVABLES, 7]).bit_generator
+        real = operators._complex_gaussian
+        calls = []
+
+        def draw(rng, d, cols=None):
+            first = rng.bit_generator.state == fresh.state
+            g = real(rng, d, cols)
+            calls.append(first)
+            return 2.5 * np.eye(d, dtype=complex) if first else g
+        clean = random_observable_sets(5, dim, 2, INDICES)
+        monkeypatch.setattr(operators, "_complex_gaussian", draw)
+        sets = random_observable_sets(5, dim, 2, INDICES)
+        # two members for five elements, plus one redraw for each 7
+        assert sum(calls) == 2 and len(calls) == 12
+        for got, was, i in zip(sets, clean, INDICES):
+            assert same(got, solo_observables(5, dim, 2, i, draw=draw))
+            assert same(got, was) == (i != 7)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_apply_channels_matches_each_channel(self, dim):
+        for n_ops in (1, 2, 3, 4):
+            kraus = random_kraus_sets(5, dim, n_ops, INDICES)
+            rho = random_densities(6, dim, range(len(INDICES)))
+            out = apply_channels(rho, kraus)
+            assert same(out, [solo_apply_channel(r, k)
+                              for r, k in zip(rho, kraus)])
+            assert same(out, [apply_channel(r, k)
+                              for r, k in zip(rho, kraus)])
+
+    def test_apply_channels_rejects_an_incomplete_set(self):
+        kraus = random_kraus_sets(5, 3, 2, range(3))
+        kraus[1, 0] *= 0.5
+        rho = random_densities(6, 3, range(3))
+        with pytest.raises(ValueError, match="incomplete") as stacked:
+            apply_channels(rho, kraus)
+        with pytest.raises(ValueError, match="incomplete") as solo:
+            solo_apply_channel(rho[1], kraus[1])
+        assert str(stacked.value) == str(solo.value)
+        with pytest.raises(ValueError, match="incomplete"):
+            apply_channel(rho[1], kraus[1])
+        apply_channels(rho[[0, 2]], kraus[[0, 2]])
 
 
 class TestApplyChannel:
