@@ -30,6 +30,15 @@ size of order N^(d(d-1)/2) (at most N+1 for qubits), so N is not bounded by
 DIM_CAP.  Sigma's blocks are products of s, so its support is decided on
 one copy.
 
+A commuting pair needs neither blocks nor eigensolves.  When every
+off-diagonal entry of r is exactly 0, as for two diagonal inputs, the n
+copies are solved on their C(n+d-1, d-1) type classes: one sort by log
+likelihood ratio and one cumulative sum of rho's masses.  A commuting pair
+given in another basis keeps rounding off r's diagonal and takes the
+blocks.  Prob is summed in logs; below the smallest normal float
+(ln prob < -708.4) the type classes raise RuntimeError rather than return a
+subnormal with few correct digits.
+
 The search is scale-invariant.  It squares t to bracket the crossing,
 bisects log t down to a factor 2, then steps until
 hi - lo <= BISECT_WIDTH * hi, or hi <= BISECT_WIDTH.  Each step is read from
@@ -53,6 +62,7 @@ RuntimeError.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -416,14 +426,84 @@ def _schur_weyl_blocks(r: np.ndarray, s: np.ndarray, n: int) -> list[Block]:
     return blocks
 
 
+def _type_class_prob(p: np.ndarray, q: np.ndarray, n: int,
+                     eps: float) -> float:
+    """Optimal error probability on n copies of diag(p) against diag(q).
+
+    A type class k, with k_a copies of outcome a, has rho mass
+    n!/prod_a k_a! prod_a p_a^k_a and sigma mass likewise; these are taken
+    in logs, with 0 log 0 = 0.  The classes are sorted by likelihood ratio,
+    sigma's kernel first, and taken until rho's cumulative mass meets eps,
+    the crossing class with a fractional weight.  That class carries eps
+    less the mass above it, or above eps = 1/2 the mass from it down less
+    1 - eps, so levels near 1 stay resolved, and nothing when this is within
+    the rounding of the masses.  At eps = 1 every class is taken, also those
+    whose mass underflows.  Prob is summed in logs and refused below the
+    float range.
+    """
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
+    keep = p > 0      # a class with a copy of another outcome has no rho mass
+    p, q = p[keep], q[keep]
+    d = len(p)
+    # stars and bars: the d - 1 bars among n + d - 1 slots give one class
+    bars = np.array([(-1, *c, n + d - 1)
+                     for c in itertools.combinations(range(n + d - 1), d - 1)])
+    k = np.diff(bars, axis=1) - 1
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    log_m = log_fact[n] - log_fact[k].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = log_m + k @ np.log(p)
+        log_q = log_m + np.where(k > 0, k * np.log(q), 0.0).sum(axis=1)
+    order = np.argsort(log_q - log_p, kind="stable")
+    log_q, mass = log_q[order], np.exp(log_p[order])
+    if eps <= 0.5:
+        above = np.cumsum(mass)
+        j = min(int(np.searchsorted(above, eps)), len(mass) - 1)
+        missing = eps - (above[j - 1] if j else 0.0)
+    else:
+        below = np.append(np.cumsum(mass[::-1])[::-1][1:], 0.0)
+        j = len(mass) - 1 if eps == 1 else int(np.argmax(below <= 1 - eps))
+        missing = below[j] + mass[j] - (1 - eps)
+    # each log mass sums terms up to ln n! + n max |ln p_a| and carries a few
+    # ulp of that, and the cumulative sum one rounding per class.  A missing
+    # mass within that rounding is a likelihood-ratio step that meets eps;
+    # a sliver of the next class would add the rounding times its q/p.
+    rounding = np.finfo(float).eps * (
+        4 * (log_fact[n] + n * np.abs(np.log(p)).max()) + len(mass))
+    frac = (1.0 if missing >= mass[j]
+            else 0.0 if missing <= rounding * min(eps, 1 - eps)
+            else missing / mass[j])
+    with np.errstate(divide="ignore"):
+        terms = np.append(log_q[:j], log_q[j] + np.log(frac))
+    top = terms.max()
+    if top == -math.inf:
+        return 0.0
+    log_prob = top + math.log(np.exp(terms - top).sum())
+    if log_prob < math.log(sys.float_info.min):
+        raise RuntimeError(
+            f"prob below the float range: ln prob {log_prob:.6g} < "
+            f"ln {sys.float_info.min!r} at n {n}, eps {eps!r}")
+    return math.exp(log_prob)
+
+
+def _n_copy_prob(r: np.ndarray, s: np.ndarray, n: int, eps: float) -> float:
+    """Optimal error probability on n copies of a pair in sigma's eigenbasis
+    (_sigma_basis): on its type classes when r is exactly diagonal, so that
+    the pair commutes, else on its Schur-Weyl blocks."""
+    if not np.any(r[~np.eye(len(r), dtype=bool)]):
+        return _type_class_prob(np.diag(r).real, s, n, eps)
+    return _np_search(_schur_weyl_blocks(r, s, n), eps)[0]
+
+
 def prob_eps_tensor(rho: np.ndarray, sigma: np.ndarray, eps: float,
                     n: int) -> float:
-    """Optimal error probability on n tensor copies, searched on their
-    Schur-Weyl blocks."""
+    """Optimal error probability on n tensor copies, searched on their type
+    classes or Schur-Weyl blocks."""
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
     r, s, _ = _sigma_basis(rho, sigma)
-    return _np_search(_schur_weyl_blocks(r, s, n), eps)[0]
+    return _n_copy_prob(r, s, n, eps)
 
 
 @dataclass(frozen=True)
@@ -439,7 +519,7 @@ def stein_rate_series(rho: np.ndarray, sigma: np.ndarray, eps: float,
     r, s, _ = _sigma_basis(rho, sigma)
     rows = []
     for n in range(1, n_max + 1):
-        prob = _np_search(_schur_weyl_blocks(r, s, n), eps)[0]
+        prob = _n_copy_prob(r, s, n, eps)
         rate = math.inf if prob <= 0 else -math.log(prob) / n
         rows.append((n, prob, rate))
     return SteinRateSeries(rel_entropy=relative_entropy(rho, sigma),

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,13 +13,14 @@ from macrolab.hypotest import (np_optimal_test, prob_eps_tensor,
 from macrolab.operators import (LOG_SUPPORT_RTOL, apply_channel, eig,
                                 hermitian_part, random_density, random_kraus,
                                 random_unitary, tensor_power)
-from oracles import (classical_np_oracle, sampled_gamma_bound,
-                     type_class_oracle, von_neumann)
+from oracles import (classical_np_oracle, exact_type_class_oracle,
+                     sampled_gamma_bound, type_class_oracle, von_neumann)
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 D91 = np.diag([0.9, 0.1]).astype(complex)
+D19 = np.diag([0.1, 0.9]).astype(complex)
 UNIF = np.diag([0.5, 0.5]).astype(complex)
 BAD2 = np.array([[0.5, 1], [0, 0.5]], dtype=complex)
 BAD3 = np.array([[0.5, 1, 0], [0, 0.25, 0], [0, 0, 0.25]], dtype=complex)
@@ -235,8 +238,26 @@ def rel_err(value, expected):
     return abs(value - expected) / abs(expected)
 
 
+def block_search(rho, sigma, eps, n):
+    """(prob, threshold, fractional weights per block) of the block search;
+    a weight strictly between 0 and 1 puts the threshold at a jump of g."""
+    r, s, _ = hypotest._sigma_basis(rho, sigma)
+    prob, t, _, tests = hypotest._np_search(
+        hypotest._schur_weyl_blocks(r, s, n), eps)
+    return prob, t, [int(((c > 0) & (c < 1)).sum()) for _, c in tests]
+
+
+def count_eig(monkeypatch) -> list[int]:
+    calls = [0]
+    monkeypatch.setattr(hypotest, "eig",
+                        lambda h: calls.__setitem__(0, calls[0] + 1) or eig(h))
+    return calls
+
+
 class TestSchurWeylBlocks:
-    """The qubit block route against independent oracles."""
+    """The qubit block route against independent oracles.  prob_eps_tensor
+    takes a diagonal pair to its type classes, so each commuting check is
+    made through block_search as well."""
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_matches_dense_non_commuting(self, seed):
@@ -256,13 +277,18 @@ class TestSchurWeylBlocks:
         rho, sigma = diag_pair(p, q)
         for n in (1, 4, 17, 40):
             for eps in (0.2, 0.5, 0.9):
+                expected = type_class_oracle(p, q, n, eps)
                 assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
-                               type_class_oracle(p, q, n, eps)) <= 1e-9
+                               expected) <= 1e-9
+                assert rel_err(block_search(rho, sigma, eps, n)[0],
+                               expected) <= 1e-9
 
     def test_commuting_matches_type_classes_n120(self):
         rho, sigma = diag_pair(0.9, 0.5)
-        assert rel_err(prob_eps_tensor(rho, sigma, 0.5, 120),
-                       type_class_oracle(0.9, 0.5, 120, 0.5)) <= 1e-9
+        expected = type_class_oracle(0.9, 0.5, 120, 0.5)
+        assert rel_err(prob_eps_tensor(rho, sigma, 0.5, 120), expected) <= 1e-9
+        assert rel_err(block_search(rho, sigma, 0.5, 120)[0],
+                       expected) <= 1e-9
 
     def test_rotated_commuting_pair(self):
         # a shared eigenbasis off the computational one
@@ -275,14 +301,19 @@ class TestSchurWeylBlocks:
 
     def test_threshold_beyond_float_range(self):
         # only the all-first type meets eps; its likelihood ratio is 2e310
+        # and prob, 1e-11^29 = 1e-319, is subnormal: the type classes refuse
+        # it as well
         rho, sigma = diag_pair(0.5, 1e-11)
         with pytest.raises(RuntimeError, match="float range.*eps"):
             prob_eps_tensor(rho, sigma, 0.5 ** 29, 29)
+        with pytest.raises(RuntimeError, match="float range.*eps"):
+            block_search(rho, sigma, 0.5 ** 29, 29)
 
     def test_eps_one_full_rank(self):
         # power 1 needs the identity test; the threshold is 1e-10, far below 1
         rho = np.diag([0.005, 0.995]).astype(complex)
         assert abs(prob_eps_tensor(rho, UNIF, 1.0, 5) - 1.0) < 1e-12
+        assert abs(block_search(rho, UNIF, 1.0, 5)[0] - 1.0) < 1e-12
 
     def test_equal_states_n50(self):
         rho = random_density(5, 2)
@@ -303,6 +334,7 @@ class TestSchurWeylBlocks:
         assume(n * math.log(max(p / q, (1 - p) / (1 - q))) < 700)
         rho, sigma = diag_pair(p, q)
         prob = prob_eps_tensor(rho, sigma, eps, n)
+        block = block_search(rho, sigma, eps, n)[0]
         # sigma's support is decided on one copy: an eigenvalue below the
         # relative cutoff is 0, which makes prob 0 when rho's mass there
         # meets eps
@@ -310,6 +342,7 @@ class TestSchurWeylBlocks:
             q = 0.0
         expected = type_class_oracle(p, q, n, eps)
         assert abs(prob - expected) <= 1e-9 * expected
+        assert abs(block - expected) <= 1e-9 * expected
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 12.0), st.floats(0.0, 12.0), st.integers(0, 10**6),
@@ -389,22 +422,26 @@ class TestGeneralSchurWeylBlocks:
     @pytest.mark.parametrize("p, q", [((0.5, 0.3, 0.2), (0.2, 0.3, 0.5)),
                                       ((0.7, 0.2, 0.1), (0.4, 0.35, 0.25))])
     def test_commuting_qutrits_match_type_classes(self, p, q):
+        diagonal = np.diag(p).astype(complex), np.diag(q).astype(complex)
         u = random_unitary(4, 3)     # a shared eigenbasis off the standard one
-        for rho, sigma in ((np.diag(p).astype(complex),
-                            np.diag(q).astype(complex)),
-                           (u @ np.diag(p) @ u.conj().T,
-                            u @ np.diag(q) @ u.conj().T)):
-            for n in (1, 4, 7):
-                for eps in (0.2, 0.5, 0.9):
-                    assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
-                                   type_class_oracle(p, q, n, eps)) <= 1e-9
+        rotated = u @ np.diag(p) @ u.conj().T, u @ np.diag(q) @ u.conj().T
+        for n in (1, 4, 7):
+            for eps in (0.2, 0.5, 0.9):
+                expected = type_class_oracle(p, q, n, eps)
+                # the rotated pair is not exactly diagonal in sigma's
+                # eigenbasis, so prob_eps_tensor searches its blocks
+                for prob in (prob_eps_tensor(*diagonal, eps, n),
+                             block_search(*diagonal, eps, n)[0],
+                             prob_eps_tensor(*rotated, eps, n)):
+                    assert rel_err(prob, expected) <= 1e-9
 
     def test_commuting_qutrits_beyond_dim_cap(self):
         # 3^10 = 59049 > DIM_CAP: no dense tensor power is built
         p, q = (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)
         rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
-        assert rel_err(prob_eps_tensor(rho, sigma, 0.5, 10),
-                       type_class_oracle(p, q, 10, 0.5)) <= 1e-9
+        expected = type_class_oracle(p, q, 10, 0.5)
+        assert rel_err(prob_eps_tensor(rho, sigma, 0.5, 10), expected) <= 1e-9
+        assert rel_err(block_search(rho, sigma, 0.5, 10)[0], expected) <= 1e-9
 
     def test_sigma_support_decided_on_one_copy(self):
         # (1e-5)^3 is far below the relative cutoff on 3 copies, not on one;
@@ -413,22 +450,6 @@ class TestGeneralSchurWeylBlocks:
         sigma = u @ np.diag([1e-5, 0.5 - 5e-6, 0.5 - 5e-6]) @ u.conj().T
         prob = prob_eps_tensor(np.eye(3) / 3, sigma, 0.02, 3)
         assert rel_err(prob, 0.02 * 27 * 1e-15) <= 1e-9
-
-
-def block_search(rho, sigma, eps, n):
-    """(prob, threshold, fractional weights per block) of the block search;
-    a weight strictly between 0 and 1 puts the threshold at a jump of g."""
-    r, s, _ = hypotest._sigma_basis(rho, sigma)
-    prob, t, _, tests = hypotest._np_search(
-        hypotest._schur_weyl_blocks(r, s, n), eps)
-    return prob, t, [int(((c > 0) & (c < 1)).sum()) for _, c in tests]
-
-
-def count_eig(monkeypatch) -> list[int]:
-    calls = [0]
-    monkeypatch.setattr(hypotest, "eig",
-                        lambda h: calls.__setitem__(0, calls[0] + 1) or eig(h))
-    return calls
 
 
 class TestSearchSteps:
@@ -503,3 +524,83 @@ class TestSearchSteps:
                                     tensor_power(sigma, n), eps)
             assert t < 1 and dense.threshold_t < 1
             assert rel_err(prob, dense.prob) <= 1e-10
+
+
+def mp_qubit_type_classes(p, q, n, eps):
+    """prob for n copies of diag(p, 1-p) against diag(q, 1-q) with p > q, in
+    50-digit arithmetic on the same floats: the likelihood ratio grows with
+    the count k of the first outcome, so classes are taken from k = n down."""
+    with mpmath.workdps(50):
+        p0, p1, q0, q1 = map(mpmath.mpf, (p, 1 - p, q, 1 - q))
+        power = cost = mpmath.mpf(0)
+        for k in range(n, -1, -1):
+            b = mpmath.binomial(n, k)
+            pk, qk = b * p0 ** k * p1 ** (n - k), b * q0 ** k * q1 ** (n - k)
+            if power + pk >= eps:
+                return float(cost + (eps - power) / pk * qk)
+            power, cost = power + pk, cost + qk
+
+
+class TestTypeClasses:
+    """The commuting path: a pair that is diagonal in sigma's eigenbasis is
+    solved on its type classes, with one sort and no eigensolve."""
+
+    @pytest.mark.parametrize("eps", [1.0, 1 - 1e-11, 1 - 1e-9])
+    @pytest.mark.parametrize("p, q, n", [
+        ((0.9, 0.1), (0.1, 0.9), 20), ((0.9, 0.1), (0.5, 0.5), 20),
+        ((0.005, 0.995), (0.5, 0.5), 5),
+        ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 12),
+    ])
+    def test_eps_near_one(self, p, q, n, eps):
+        # the block search read 0.608 for the first pair at eps = 1, where
+        # every class is taken and the answer is 1: it accepts a test whose
+        # missing rho mass is below its 1e-10 power tolerance
+        rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
+        assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
+                       exact_type_class_oracle(p, q, n, eps)) <= 1e-9
+
+    @pytest.mark.parametrize("q, n", [(10 ** -11.5 / 2, 9), (1e-6, 41)])
+    def test_eps_at_a_likelihood_ratio_step(self, q, n):
+        # the upper half of an odd number of uniform copies holds rho mass
+        # 0.5 exactly; a rounding-sized sliver of the next class, whose q/p
+        # is 1e11 or 1e6 times larger, read 3.7e-3 and 4.5e-8 relative off
+        rho, sigma = diag_pair(0.5, q)
+        assert rel_err(prob_eps_tensor(rho, sigma, 0.5, n),
+                       exact_type_class_oracle(0.5, q, n, 0.5)) <= 1e-9
+
+    def test_eps_one_takes_every_class(self):
+        # the all-second class of 16 copies has rho mass 1e-400, which
+        # underflows to 0, and sigma mass 2^-16; taking every class gives 1
+        rho = np.diag([1.0, 1e-25]).astype(complex)
+        assert abs(prob_eps_tensor(rho, UNIF, 1.0, 16) - 1.0) <= 1e-9
+
+    def test_qutrit_series_without_blocks(self, monkeypatch):
+        # the dense diagonal blocks took 13 s at N = 16 and 77 s at N = 20
+        p, q = (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)
+        rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
+        towers = {d: len(t.levels) for d, t in hypotest._TOWERS.items()}
+        solved = []
+        monkeypatch.setattr(hypotest, "eig",
+                            lambda h: solved.append(h) or eig(h))
+        series = stein_rate_series(rho, sigma, 0.5, 20)
+        assert len(solved) == 1 and np.array_equal(solved[0], sigma)
+        assert {d: len(t.levels)
+                for d, t in hypotest._TOWERS.items()} == towers
+        for n, prob, _ in series.rows:
+            assert rel_err(prob, type_class_oracle(p, q, n, 0.5)) <= 1e-9
+
+    @pytest.mark.parametrize("sigma, q, n", [(UNIF, 0.5, 1000),
+                                             (D19, 0.1, 400)])
+    def test_qubit_against_mpmath(self, sigma, q, n):
+        # each log mass is a difference of lgamma values up to ln 1000! =
+        # 5912, whose ulp is 9.1e-13; the N = 1000 point reads 9.2e-12
+        assert rel_err(prob_eps_tensor(D91, sigma, 0.5, n),
+                       mp_qubit_type_classes(0.9, q, n, 0.5)) <= 1e-10
+
+    def test_prob_below_float_range_raises(self):
+        # prob falls like exp(-1.76 N): 1.1e-307 at N = 400, subnormal at 402
+        assert prob_eps_tensor(D91, D19, 0.5, 400) >= sys.float_info.min
+        with pytest.raises(RuntimeError, match="float range.*eps 0.5"):
+            prob_eps_tensor(D91, D19, 0.5, 402)
+        with pytest.raises(RuntimeError, match="float range.*eps 0.5"):
+            stein_rate_series(D91, D19, 0.5, 402)
