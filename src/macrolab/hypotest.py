@@ -39,18 +39,32 @@ blocks.  Prob is summed in logs; below the smallest normal float
 (ln prob < -708.4) the type classes raise RuntimeError rather than return a
 subnormal with few correct digits.
 
-The search is scale-invariant.  It squares t to bracket the crossing,
-bisects log t down to a factor 2, then steps until
+The search is scale-invariant.  It starts at t0, which an N-copy point sets
+to the Stein threshold exp(N D), D = S(rho||sigma), and 1 where that is not
+finite; a threshold grows like exp(N D) (Hiai-Petz 1991; Ogawa-Nagaoka
+2000).  It brackets the crossing by multiplying or dividing t by a ratio
+that squares each time (4, 16, 256, ...), down to t = 1, below which the
+bracket is [0, 1]; it bisects log t down to a factor 2, then steps until
 hi - lo <= BISECT_WIDTH * hi, or hi <= BISECT_WIDTH.  Each step is read from
 the splits at lo and hi.  Where eigenvalues leave the positive set across
 the bracket, g jumps where one of them crosses its band edge; the eigenvalue
 of v falls at the rate <v|sigma_b|v> (Hellmann-Feynman), so the step goes to
 the median of their Newton roots, exact for commuting blocks.  Where none
-leaves, g is continuous there and the step is an Illinois (regula falsi) one
-on g - eps.  Steps stay inside the bracket, and one that fails to halve it is
-followed by a bisection, so this phase takes at most twice the steps of a
-plain bisection (40 from a factor 2, up to 80 from lo = 0), and 5 to 10 in
-practice.  An eigenvector v of
+leaves, g is smooth there and the step is a Newton one on g - eps from the
+end with the smaller |g - eps|, on the exact slope (_slope); a Newton root
+outside the bracket shows a jump that no eigenvalue was seen to cross, and
+the step goes to the chord's root instead.  Steps stay inside the
+bracket, and one that neither halves it nor cuts |g - eps| by 4x is
+followed by a bisection.  So this phase takes at most twice the steps of a
+plain bisection (40 from a factor 2, up to 80 from lo = 0) plus one step
+per factor 4 by which min |g - eps| over the ends falls, which the float
+spacing of g - eps bounds to about 27 at eps = 1/2 and more as eps nears 1;
+in practice a search splits about 10 thresholds.  t = 0, the test onto
+rho's support, is split only while lo = 0 or when neither end gives a
+feasible test.  At eps = 1 the search returns that support test, each rho_b
+projected onto its eigenvalues above LOG_SUPPORT_RTOL of the largest over
+all blocks; N copies decide that support on one copy (_n_copy_prob).  An
+eigenvector v of
 rho_b - t sigma_b is in the near-kernel band when its eigenvalue lies within
 KERNEL_BAND * <v|rho_b + t sigma_b|v> of 0, so that its likelihood ratio is
 within about 2 * KERNEL_BAND of t, or within RESIDUAL_MARGIN times its
@@ -62,23 +76,24 @@ RuntimeError.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import relative_entropy
-from .operators import (PSD_ATOL, TRACE_ATOL, check_hermitian, eig,
-                        hermitian_part, in_support, kron)
+from .entropy import SUPPORT_LEAK_TOL, relative_entropy
+from .operators import (LOG_SUPPORT_RTOL, PSD_ATOL, TRACE_ATOL,
+                        check_hermitian, eig, hermitian_part, in_support, kron)
 
 KERNEL_BAND = 1e-10    # relative to <v|rho_b + t sigma_b|v>
 RESIDUAL_MARGIN = 10   # times the eigenpair residual
 BISECT_WIDTH = 1e-12
-# a search takes about 10 to 15 steps; at most 11 square t to the float range,
-# 10 bisect log t and 80 close the bracket, or 160 when the threshold is below 1
+# a search takes about 10 steps; at most 11 move t by a squaring ratio to the
+# float range, 10 bisect log t and 80 close the bracket, or 160 when the
+# threshold is below 1, plus the steps that cut |g - eps| by 4x
 MAX_SEARCH_STEPS = 200
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 Block = tuple[float, np.ndarray, np.ndarray]   # (m_b, rho_b, s_b)
 
@@ -91,29 +106,91 @@ class NPTestResult:
     gamma_op: np.ndarray
 
 
-def _sigma_basis(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(r, s, v): rho in sigma's eigenbasis v, r = v^dag rho v, and sigma's
-    ascending spectrum s, with 0 outside its support.  Rejects a pair that
-    is not two states of one dimension."""
+def _sigma_basis(rho: np.ndarray, sigma: np.ndarray) -> tuple:
+    """(r, s, v, rel): rho in sigma's eigenbasis v, r = v^dag rho v, sigma's
+    ascending spectrum s, with 0 outside its support, and S(rho||sigma)
+    read from rho's spectrum, which the state check solves, and r's
+    diagonal: sum p ln p - sum_i r_ii ln s_i over sigma's support, inf when
+    rho leaks into sigma's kernel (relative_entropy's rule).  Rejects a pair
+    that is not two states of one dimension."""
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     check_hermitian(rho)
     check_hermitian(sigma)
+    p = np.linalg.eigvalsh(rho)
     w, v = eig(sigma)
-    for name, spec in (("rho", np.linalg.eigvalsh(rho)), ("sigma", w)):
+    for name, spec in (("rho", p), ("sigma", w)):
         if spec[0] < -PSD_ATOL or abs(spec.sum() - 1) > TRACE_ATOL:
             raise ValueError(f"{name} is not a state: lowest eigenvalue "
                              f"{spec[0]:.3e}, trace {spec.sum():.12g}")
-    return (hermitian_part(v.conj().T @ rho @ v),
-            np.where(in_support(w), w, 0.0), v)
+    r = hermitian_part(v.conj().T @ rho @ v)
+    s = np.where(in_support(w), w, 0.0)
+    r_ii, on = np.diag(r).real, s > 0
+    p = p[in_support(p)]
+    rel = (math.inf if r_ii[~on].sum() > SUPPORT_LEAK_TOL
+           else float(p @ np.log(p) - r_ii[on] @ np.log(s[on])))
+    return r, s, v, rel
 
 
-def _np_search(blocks: list[Block], eps: float
+def _split_at(blocks: list[Block], t: float) -> list[tuple]:
+    """Per block: m_b, the eigenvectors v and eigenvalues w of
+    h = (rho_b - t sigma_b) / max(1, t), the overlaps rho_v = <v|rho_b|v> and
+    sig_v = <v|sigma_b|v>, and the band of each eigenvalue.  Dividing by
+    max(1, t) keeps h in the float range whatever t is."""
+    scale = max(1.0, t)
+    split = []
+    for m, r, s in blocks:
+        h = r / scale      # sigma_b is diagonal: t moves h's diagonal only
+        h.flat[::len(s) + 1] -= t / scale * s
+        w, v = eig(h)
+        rho_v = np.einsum("ij,ij->j", v.conj(), r @ v).real
+        sig_v = s @ (v * v.conj()).real
+        # an eigenvalue of h lies within the residual |h v - w v| of w
+        res = h @ v - v * w
+        residual = np.sqrt(np.einsum("ij,ij->j", res.conj(), res).real)
+        # <v|rho_b + t sigma_b|v> / scale = 2 rho_v / scale - w
+        band = (KERNEL_BAND * (2 * rho_v / scale - w)
+                + RESIDUAL_MARGIN * residual)
+        split.append((m, v, w, rho_v, sig_v, band))
+    return split
+
+
+def _excess(split: list[tuple], eps: float) -> float:
+    """g(t) - eps, g(t) = sum_b m_b tr(rho_b P_+(rho_b - t sigma_b)), where
+    P_+ takes the eigenvalues above their band.
+
+    Taken as (1 - eps) - (1 - g(t)), the complement a sum of small
+    nonnegative overlaps, so levels near 1 are resolved without
+    cancellation.
+    """
+    return (1.0 - eps) - sum(m * float(rho_v[w <= band].sum())
+                             for m, _, w, rho_v, _, band in split)
+
+
+def _slope(blocks: list[Block], split: list[tuple], t: float) -> float:
+    """g'(t) = -2t sum_b m_b sum_(i in P, j not in P) |<v_i|sigma_b|v_j>|^2
+    / (lam_i - lam_j), first-order perturbation of P_+ with rho_b's
+    off-diagonal overlaps <v_j|rho_b|v_i> = t <v_j|sigma_b|v_i>; lam are the
+    eigenvalues of rho_b - t sigma_b and P the positive set of _excess."""
+    scale = max(1.0, t)
+    total = 0.0
+    for (m, _, s), (_, v, w, _, _, band) in zip(blocks, split):
+        pos = w > band
+        if pos.any() and not pos.all():
+            sig = (v.conj().T * s) @ v
+            gap = scale * (w[pos][:, None] - w[~pos])
+            total += m * float((np.abs(sig[np.ix_(pos, ~pos)]) ** 2
+                                / gap).sum())
+    return -2 * t * total
+
+
+def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
                ) -> tuple[float, float, float, list[tuple]]:
     """Neyman-Pearson minimizer over weighted blocks (m_b, rho_b, s_b), with
     rho_b exactly Hermitian and s_b sigma_b's diagonal, whose zeros are
-    sigma's kernel.  Returns (prob, threshold t, power, per-block tests
-    Gamma_b = v_b diag(c_b) v_b^dag as (v_b, c_b))."""
+    sigma's kernel; the search starts at the threshold t0.  Returns (prob,
+    threshold t, power, per-block tests Gamma_b = v_b diag(c_b) v_b^dag as
+    (v_b, c_b))."""
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
     # If enough of rho lives in sigma's kernel the error probability is 0.
@@ -126,41 +203,22 @@ def _np_search(blocks: list[Block], eps: float
         power = sum(m * float(c @ np.diag(r).real)
                     for (m, r, _), (_, c) in zip(blocks, tests))
         return 0.0, math.inf, power, tests
-
-    def split_at(t: float) -> list[tuple]:
-        """Per block: m_b, the eigenvectors v and eigenvalues w of
-        h = (rho_b - t sigma_b) / max(1, t), the overlaps rho_v = <v|rho_b|v>
-        and sig_v = <v|sigma_b|v>, and the band of each eigenvalue.  Dividing
-        by max(1, t) keeps h in the float range whatever t is."""
-        scale = max(1.0, t)
-        split = []
-        for m, r, s in blocks:
-            h = r / scale      # sigma_b is diagonal: t moves h's diagonal only
-            h.flat[::len(s) + 1] -= t / scale * s
-            w, v = eig(h)
-            rho_v = np.einsum("ij,ij->j", v.conj(), r @ v).real
-            sig_v = s @ (v * v.conj()).real
-            # an eigenvalue of h lies within the residual |h v - w v| of w
-            res = h @ v - v * w
-            residual = np.sqrt(np.einsum("ij,ij->j", res.conj(), res).real)
-            # <v|rho_b + t sigma_b|v> / scale = 2 rho_v / scale - w
-            band = (KERNEL_BAND * (2 * rho_v / scale - w)
-                    + RESIDUAL_MARGIN * residual)
-            split.append((m, v, w, rho_v, sig_v, band))
-        return split
-
-    def excess(split: list[tuple]) -> float:
-        """g(t) - eps, g(t) = sum_b m_b tr(rho_b P_+(rho_b - t sigma_b)).
-
-        Taken as (1 - eps) - (1 - g(t)), the complement a sum of small
-        nonnegative overlaps, so levels near 1 are resolved without
-        cancellation.
-        """
-        return (1.0 - eps) - sum(m * float(rho_v[w <= band].sum())
-                                 for m, _, w, rho_v, _, band in split)
+    if eps == 1:
+        # the optimum projects each rho_b onto its support, by the support
+        # rule relative to the largest eigenvalue over all blocks
+        spectra = [eig(r) for _, r, _ in blocks]
+        top = max(w[-1] for w, _ in spectra)
+        tests = [(v, (w > LOG_SUPPORT_RTOL * top).astype(float))
+                 for w, v in spectra]
+        power = sum(m * float(c @ w)
+                    for (m, _, _), (w, _), (_, c) in zip(blocks, spectra,
+                                                          tests))
+        prob = sum(m * float(c @ (s @ (v * v.conj()).real))
+                   for (m, _, s), (v, c) in zip(blocks, tests))
+        return prob, 0.0, power, tests
 
     def reaches(split: list[tuple]) -> bool:
-        return excess(split) >= 0
+        return _excess(split, eps) >= 0
 
     def candidate(t: float, split: list[tuple]):
         # rho mass above, in and below the band.  The mass that P_+ misses
@@ -187,9 +245,10 @@ def _np_search(blocks: list[Block], eps: float
                    for (m, _, _, _, sig_v, _), (_, cb) in zip(split, tests))
         return None if power < eps - 1e-10 else (prob, t, power, tests)
 
-    # the splits at lo (None while lo = 0) and hi; no threshold is solved twice
-    lo, hi = 0.0, 1.0
-    at_lo, at_hi = None, split_at(hi)
+    # the splits at lo and hi, None until one is made; no threshold is solved
+    # twice
+    lo, hi = 0.0, math.inf
+    at_lo = at_hi = None
     steps = 0
 
     def fail(reason: str) -> RuntimeError:
@@ -197,9 +256,9 @@ def _np_search(blocks: list[Block], eps: float
             f"NP threshold search failed after {steps} steps ({reason}): "
             f"t in [{lo!r}, {hi!r}], width {hi - lo!r}, eps {eps!r}")
 
-    def bisect(mid: float) -> None:
+    def bisect(mid: float) -> list[tuple]:
         nonlocal lo, hi, at_lo, at_hi, steps
-        split = split_at(mid)
+        split = _split_at(blocks, mid)
         if reaches(split):
             lo, at_lo = mid, split
         else:
@@ -207,26 +266,42 @@ def _np_search(blocks: list[Block], eps: float
         steps += 1
         if steps > MAX_SEARCH_STEPS:
             raise fail(f"cap {MAX_SEARCH_STEPS}")
+        return split
 
-    # bracket the crossing of g(t) with eps by squaring t, which doubles
-    # log t, so thresholds of N copies, which grow like exp(N D), cost O(log N)
-    while reaches(at_hi):
-        if hi == sys.float_info.max:
-            raise fail("threshold beyond the float range")
-        lo, at_lo = hi, at_hi
-        hi = min(max(2.0, hi * hi), sys.float_info.max)
-        at_hi = split_at(hi)
+    # bracket the crossing of g(t) with eps from t0, multiplying or dividing
+    # t by a ratio that squares each time (4, 16, 256, ...), which doubles
+    # log t, so a threshold of N copies, which grows like exp(N D), costs
+    # O(log N) splits from any start; a crossing below t = 1 is bracketed
+    # by [0, 1]
+    t, ratio = t0, 4.0
+    while True:
+        split = _split_at(blocks, t)
+        if reaches(split):
+            if t == sys.float_info.max:
+                raise fail("threshold beyond the float range")
+            lo, at_lo = t, split
+        else:
+            hi, at_hi = t, split
+        if hi < math.inf and (lo > 0 or hi <= 1):
+            break
+        t = (min(t * ratio, sys.float_info.max) if hi == math.inf
+             else max(t / ratio, 1.0))
+        ratio *= ratio
         steps += 1
     while lo > 0 and hi > 2 * lo:
         bisect(math.sqrt(lo) * math.sqrt(hi))
+    # while lo = 0 its split is t = 0's, and it is solved once
+    if lo == 0:
+        at_lo = _split_at(blocks, 0.0)
 
     def step() -> float | None:
         """The next threshold to split, read from the splits at lo and hi,
         or None to bisect.  An eigenvector's margin scale * (w - band), whose
         sign reaches counts, falls at the rate (1 + KERNEL_BAND) sig_v
-        (Hellmann-Feynman), so its Newton root is its band edge.  Illinois:
-        after k steps in a row that moved the same end, the other end's
-        value is halved k - 1 times."""
+        (Hellmann-Feynman), so its Newton root is its band edge.  Where none
+        leaves, the step is a Newton one on g - eps, landing a quarter of
+        the stop width past the root, so that a converged root closes the
+        bracket."""
         (m_lo, k_lo), (m_hi, k_hi) = (
             (np.concatenate([max(1.0, t) * (w - band)
                              for *_, w, _, _, band in split]),
@@ -240,50 +315,50 @@ def _np_search(blocks: list[Block], eps: float
                                             hi + m_hi[on_hi] / k_hi[on_hi]]))
             roots = roots[(lo <= roots) & (roots <= hi)]
         if len(roots):
-            t = float(roots[len(roots) // 2])
-        else:
-            f_lo = excess(at_lo) * 0.5 ** max(run - 1, 0)
-            f_hi = excess(at_hi) * 0.5 ** max(-run - 1, 0)
-            if not f_lo >= 0 > f_hi:
-                return None
-            t = lo + f_lo * (hi - lo) / (f_lo - f_hi)
-        # a root within rounding of an end would move that end alone; half
-        # the stop width past it closes the bracket
-        tol = BISECT_WIDTH / 2 * hi
-        return min(max(t, lo + tol), hi - tol)
+            # a root within rounding of an end would move that end alone;
+            # half the stop width past it closes the bracket
+            tol = BISECT_WIDTH / 2 * hi
+            return min(max(float(roots[len(roots) // 2]), lo + tol), hi - tol)
+        f_lo, f_hi = _excess(at_lo, eps), _excess(at_hi, eps)
+        past = BISECT_WIDTH / 4 * hi
+        t, f, split = ((lo, f_lo, at_lo) if f_lo <= -f_hi
+                       else (hi, f_hi, at_hi))
+        slope = _slope(blocks, split, t)
+        if slope < 0:
+            t = t - f / slope + (past if t == lo else -past)
+            if lo < t < hi:
+                return t
+        # a root outside the bracket: g jumps inside it
+        t = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+        return t if lo < t < hi else None
 
-    # t = 0 guards the degenerate case where g is numerically flat at eps;
-    # while lo = 0 its split is lo's, and it is solved once
-    at_zero = None
-    if lo == 0:
-        at_lo = at_zero = split_at(0.0)
-    run = 0       # +k: the last k steps, bisections aside, moved hi; -k: lo
     bisect_next = False
     # below t = BISECT_WIDTH a crossing direction holds less rho mass than
     # the power tolerance, and rho's numerical kernel would join the band
     while hi > BISECT_WIDTH and hi - lo > BISECT_WIDTH * hi:
         t = None if bisect_next else step()
         width = hi - lo
-        bisect(lo + (hi - lo) / 2 if t is None else t)
-        # a step that fails to halve the bracket is followed by a bisection,
-        # so this phase takes at most twice the bisection's steps
-        bisect_next = t is not None and hi - lo > width / 2
-        if t is not None:
-            moved = 1 if hi == t else -1
-            run = run + moved if run * moved > 0 else moved
+        near = min(abs(_excess(at_lo, eps)), abs(_excess(at_hi, eps)))
+        split = bisect(lo + (hi - lo) / 2 if t is None else t)
+        # a step that neither halves the bracket nor cuts |g - eps| by 4x is
+        # followed by a bisection
+        bisect_next = (t is not None and hi - lo > width / 2
+                       and not abs(_excess(split, eps)) < near / 4)
 
-    ends = [(hi, at_hi), (lo, at_lo),
-            (0.0, split_at(0.0) if at_zero is None else at_zero)]
-    candidates = [c for c in (candidate(t, split) for t, split in ends)
-                  if c is not None]
-    return min(candidates, key=lambda c: c[0])
+    # t = 0, the test onto rho's support, matters only when no end gives a
+    # feasible test: when lo > 0, lo's test is feasible, and its prob is at
+    # most tr(sigma supp rho), that of t = 0, by the dual bound
+    found = [c for c in (candidate(hi, at_hi), candidate(lo, at_lo)) if c]
+    if not found and lo > 0:
+        found = [c for c in [candidate(0.0, _split_at(blocks, 0.0))] if c]
+    return min(found, key=lambda c: c[0])
 
 
 def np_optimal_test(rho: np.ndarray, sigma: np.ndarray,
                     eps: float) -> NPTestResult:
     """Exact quantum Neyman-Pearson minimizer, in sigma's eigenbasis; the
     one place a test operator is formed."""
-    r, s, v = _sigma_basis(rho, sigma)
+    r, s, v, _ = _sigma_basis(rho, sigma)
     prob, t, power, ((v_b, c),) = _np_search([(1.0, r, s)], eps)
     v = v @ v_b
     return NPTestResult(threshold_t=t, prob=prob, power=power,
@@ -386,10 +461,13 @@ def _hook_count(lam: tuple[int, ...]) -> int:
     return math.factorial(sum(lam)) // hooks
 
 
-def _schur_weyl_blocks(r: np.ndarray, s: np.ndarray, n: int) -> list[Block]:
+def _schur_weyl_blocks(r: np.ndarray, s: np.ndarray, n: int,
+                       images: list[dict] | None = None) -> list[Block]:
     """Blocks (f^lam, pi_lam(rho), diagonal of pi_lam(sigma)) over lam |- n
     with at most d rows, from a pair in sigma's eigenbasis (_sigma_basis): r
-    is rho there and s sigma's spectrum, 0 on its kernel.
+    is rho there and s sigma's spectrum, 0 on its kernel.  images[size]
+    holds the pi_nu(r) of level |nu| = size; a caller that passes the same
+    list for every n of one r, as a series does, builds each level once.
 
     pi_lam(r) = det(r)^k pi_nu(r), k = lam_d, nu = lam - k, and pi_nu(r) =
     C^T (pi_mu(r) (x) r) C from the tower, taken exactly Hermitian.  Sigma's
@@ -405,25 +483,36 @@ def _schur_weyl_blocks(r: np.ndarray, s: np.ndarray, n: int) -> list[Block]:
         off = abs(r[0, 1])
         r = np.array([[r[0, 0].real, off], [off, r[1, 1].real]])
     det_r = np.linalg.det(r).real
-    images = {(): np.ones((1, 1), dtype=r.dtype)}      # pi_nu(r), |nu| = size
-    kept = {}
-    for size in range(n + 1):
-        if size:
-            images = {nu: irrep.iso.T @ kron(images[irrep.parent], r)
-                      @ irrep.iso
-                      for nu, irrep in tower.levels[size].items()}
-        if (n - size) % d == 0:
-            kept[size] = images
+    images = [] if images is None else images
+    if not images:
+        images.append({(): np.ones((1, 1), dtype=r.dtype)})
+    for size in range(len(images), n + 1):
+        images.append({nu: irrep.iso.T @ kron(images[size - 1][irrep.parent],
+                                              r) @ irrep.iso
+                       for nu, irrep in tower.levels[size].items()})
     blocks = []
     for k in range(n // d + 1):
         size = n - d * k
-        for nu, image in kept[size].items():
+        for nu, image in images[size].items():
             lam = tuple(p + k for p in nu + (0,) * (d - 1 - len(nu))) + (k,)
             weights = tower.levels[size][nu].weights + k
             blocks.append((float(_hook_count(tuple(p for p in lam if p))),
                            hermitian_part(det_r ** k * image),
                            np.prod(s ** weights, axis=1)))
     return blocks
+
+
+def _compositions(n: int, d: int) -> np.ndarray:
+    """The C(n+d-1, d-1) type classes of n copies of d outcomes, as counts
+    (rows summing to n) in lexicographic order, part by part."""
+    k, left = np.zeros((1, 0), dtype=int), np.array([n])
+    for _ in range(d - 1):
+        # each row branches on its next count 0..left, in order
+        rows = np.repeat(np.arange(len(k)), left + 1)
+        first = np.arange(len(rows)) - np.repeat(np.cumsum(left + 1) - left - 1,
+                                                 left + 1)
+        k, left = np.column_stack([k[rows], first]), left[rows] - first
+    return np.column_stack([k, left])
 
 
 def _type_class_prob(p: np.ndarray, q: np.ndarray, n: int,
@@ -446,10 +535,7 @@ def _type_class_prob(p: np.ndarray, q: np.ndarray, n: int,
     keep = p > 0      # a class with a copy of another outcome has no rho mass
     p, q = p[keep], q[keep]
     d = len(p)
-    # stars and bars: the d - 1 bars among n + d - 1 slots give one class
-    bars = np.array([(-1, *c, n + d - 1)
-                     for c in itertools.combinations(range(n + d - 1), d - 1)])
-    k = np.diff(bars, axis=1) - 1
+    k = _compositions(n, d)
     log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     log_m = log_fact[n] - log_fact[k].sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -487,13 +573,26 @@ def _type_class_prob(p: np.ndarray, q: np.ndarray, n: int,
     return math.exp(log_prob)
 
 
-def _n_copy_prob(r: np.ndarray, s: np.ndarray, n: int, eps: float) -> float:
+def _n_copy_prob(r: np.ndarray, s: np.ndarray, rel: float, n: int,
+                 eps: float, images: list[dict]) -> float:
     """Optimal error probability on n copies of a pair in sigma's eigenbasis
-    (_sigma_basis): on its type classes when r is exactly diagonal, so that
-    the pair commutes, else on its Schur-Weyl blocks."""
+    (_sigma_basis, with rel = S(rho||sigma)): on its type classes when r is
+    exactly diagonal, so that the pair commutes, else on its Schur-Weyl
+    blocks, built from images (_schur_weyl_blocks), with the search started
+    at the Stein threshold exp(n rel), or at 1 where that is not finite.
+
+    At eps = 1 the optimum projects rho^(x)n onto its support, which is
+    supp(rho)^(x)n when decided on one copy, as sigma's kernel is, so prob
+    is the one-copy answer to the n-th power; on the blocks, the support
+    rule relative to their largest eigenvalue would drop true eigenvalues
+    of a spectrum graded over more than 12 decades."""
     if not np.any(r[~np.eye(len(r), dtype=bool)]):
         return _type_class_prob(np.diag(r).real, s, n, eps)
-    return _np_search(_schur_weyl_blocks(r, s, n), eps)[0]
+    if eps == 1:
+        return _np_search([(1.0, r, s)], eps)[0] ** n
+    t0 = math.exp(n * rel) if n * rel < _LOG_FLOAT_MAX else 1.0
+    return _np_search(_schur_weyl_blocks(r, s, n, images), eps,
+                      max(t0, 1.0))[0]
 
 
 def prob_eps_tensor(rho: np.ndarray, sigma: np.ndarray, eps: float,
@@ -502,8 +601,8 @@ def prob_eps_tensor(rho: np.ndarray, sigma: np.ndarray, eps: float,
     classes or Schur-Weyl blocks."""
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
-    r, s, _ = _sigma_basis(rho, sigma)
-    return _n_copy_prob(r, s, n, eps)
+    r, s, _, rel = _sigma_basis(rho, sigma)
+    return _n_copy_prob(r, s, rel, n, eps, [])
 
 
 @dataclass(frozen=True)
@@ -515,11 +614,12 @@ class SteinRateSeries:
 def stein_rate_series(rho: np.ndarray, sigma: np.ndarray, eps: float,
                       n_max: int) -> SteinRateSeries:
     """Rates -(1/N) ln prob for N = 1..n_max, alongside S(rho||sigma); the
-    pair is rotated into sigma's eigenbasis once for all N."""
-    r, s, _ = _sigma_basis(rho, sigma)
-    rows = []
+    pair is rotated into sigma's eigenbasis, and each level of its block
+    images built, once for all N."""
+    r, s, _, rel = _sigma_basis(rho, sigma)
+    rows, images = [], []
     for n in range(1, n_max + 1):
-        prob = _n_copy_prob(r, s, n, eps)
+        prob = _n_copy_prob(r, s, rel, n, eps, images)
         rate = math.inf if prob <= 0 else -math.log(prob) / n
         rows.append((n, prob, rate))
     return SteinRateSeries(rel_entropy=relative_entropy(rho, sigma),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -241,7 +242,7 @@ def rel_err(value, expected):
 def block_search(rho, sigma, eps, n):
     """(prob, threshold, fractional weights per block) of the block search;
     a weight strictly between 0 and 1 puts the threshold at a jump of g."""
-    r, s, _ = hypotest._sigma_basis(rho, sigma)
+    r, s, *_ = hypotest._sigma_basis(rho, sigma)
     prob, t, _, tests = hypotest._np_search(
         hypotest._schur_weyl_blocks(r, s, n), eps)
     return prob, t, [int(((c > 0) & (c < 1)).sum()) for _, c in tests]
@@ -367,11 +368,26 @@ class TestSchurWeylBlocks:
 class TestGeneralSchurWeylBlocks:
     """The blocks (f^lam, pi_lam(rho), pi_lam(sigma)) in every dimension."""
 
+    def test_levels_built_once_per_series(self, monkeypatch):
+        # each level's images are kron products of the level below; a
+        # series builds each level once, where rebuilding levels 1..N for
+        # every N took sum_N sum_(size <= N) of them
+        rho, sigma = random_density(42, 3), random_density(42, 3, index=1)
+        products = [0]
+        kron = hypotest.kron
+        monkeypatch.setattr(hypotest, "kron", lambda a, b: products.__setitem__(
+            0, products[0] + 1) or kron(a, b))
+        series = stein_rate_series(rho, sigma, 0.5, 6)
+        levels = hypotest._TOWERS[3].levels
+        assert products[0] == sum(len(levels[size]) for size in range(1, 7))
+        assert [prob for _, prob, _ in series.rows] == [
+            prob_eps_tensor(rho, sigma, 0.5, n) for n in range(1, 7)]
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_dimension_and_trace(self, d):
         rho = random_density(20 + d, d)
         sigma = random_density(20 + d, d, index=1)
-        r, s, _ = hypotest._sigma_basis(rho, sigma)
+        r, s, *_ = hypotest._sigma_basis(rho, sigma)
         for n in range(1, 9):
             blocks = hypotest._schur_weyl_blocks(r, s, n)
             assert sum(m * r.shape[0] for m, r, _ in blocks) == d ** n
@@ -383,7 +399,7 @@ class TestGeneralSchurWeylBlocks:
         # a point solves sigma once, then each block once per threshold the
         # search splits, t = 0 included; a series solves sigma once in all
         rho, sigma = random_density(42, 3), random_density(42, 3, index=1)
-        r, s, _ = hypotest._sigma_basis(rho, sigma)
+        r, s, *_ = hypotest._sigma_basis(rho, sigma)
         solved = []
         monkeypatch.setattr(hypotest, "eig",
                             lambda h: solved.append(h) or eig(h))
@@ -456,18 +472,38 @@ class TestSearchSteps:
     """The steps that close the threshold bracket, each kind against an
     oracle at the tolerances of the tests above."""
 
-    @pytest.mark.parametrize("pair, n_max, bisection_calls", [
-        ((D91, UNIF), 9, 1352),
-        ((random_density(42, 2), random_density(42, 2, index=1)), 9, 1358),
-        ((random_density(42, 3), random_density(42, 3, index=1)), 5, 725),
+    @pytest.mark.parametrize("pair, n_max, bound", [
+        ((D91, UNIF), 9, 1),
+        ((random_density(42, 2), random_density(42, 2, index=1)), 9, 305),
+        ((random_density(42, 3), random_density(42, 3, index=1)), 5, 135),
     ], ids=["stein-diag", "stein-random", "np-qutrit-0"])
-    def test_eig_calls_per_series(self, monkeypatch, pair, n_max,
-                                  bisection_calls):
-        # the benchmark's series; bisecting t down to BISECT_WIDTH took
-        # bisection_calls eigensolves, most of them in its last 40 steps
+    def test_eig_calls_per_series(self, monkeypatch, pair, n_max, bound):
+        # the benchmark's series, at 10 % above the eigensolves of a search
+        # started at the Stein threshold and closed by Newton steps (1, 278
+        # and 123); bisecting t down to BISECT_WIDTH took 1352, 1358 and 725,
+        # and the search started at t = 1 with Illinois steps 1, 433 and 273
         calls = count_eig(monkeypatch)
         stein_rate_series(*pair, 0.5, n_max)
-        assert calls[0] <= bisection_calls // 2
+        assert calls[0] <= bound
+
+    @pytest.mark.parametrize("t", [5.0, 10.0, 20.0, 40.0])
+    def test_slope_matches_central_difference(self, t):
+        # g'(t) from one split against a Richardson-extrapolated central
+        # difference of g, with no eigenvalue leaving the positive set
+        rho, sigma = random_density(42, 3), random_density(42, 3, index=1)
+        r, s, *_ = hypotest._sigma_basis(rho, sigma)
+        blocks = hypotest._schur_weyl_blocks(r, s, 3)
+        splits = {x: hypotest._split_at(blocks, x)
+                  for x in t * (1 + np.array([-1e-3, -5e-4, 0, 5e-4, 1e-3]))}
+        assert len({tuple(np.concatenate([w > band
+                                          for *_, w, _, _, band in split]))
+                    for split in splits.values()}) == 1
+        g = [hypotest._excess(split, 0.0) for split in splits.values()]
+        wide = (g[4] - g[0]) / (2e-3 * t)
+        narrow = (g[3] - g[1]) / (1e-3 * t)
+        slope = hypotest._slope(blocks, splits[t], t)
+        assert slope < 0
+        assert rel_err((4 * narrow - wide) / 3, slope) <= 1e-10
 
     def test_steps_within_stated_bound(self, monkeypatch):
         # near this threshold (about 6e14) eigensolve rounding makes g noisy,
@@ -574,6 +610,16 @@ class TestTypeClasses:
         rho = np.diag([1.0, 1e-25]).astype(complex)
         assert abs(prob_eps_tensor(rho, UNIF, 1.0, 16) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_table_matches_combinations(self, d):
+        # stars and bars: the d - 1 bars among n + d - 1 slots give a class,
+        # and itertools.combinations lists them in the table's order
+        for n in range(13):
+            bars = np.array([(-1, *c, n + d - 1) for c in
+                             itertools.combinations(range(n + d - 1), d - 1)])
+            assert np.array_equal(hypotest._compositions(n, d),
+                                  np.diff(bars, axis=1) - 1)
+
     def test_qutrit_series_without_blocks(self, monkeypatch):
         # the dense diagonal blocks took 13 s at N = 16 and 77 s at N = 20
         p, q = (0.5, 0.3, 0.2), (0.2, 0.3, 0.5)
@@ -604,3 +650,47 @@ class TestTypeClasses:
             prob_eps_tensor(D91, D19, 0.5, 402)
         with pytest.raises(RuntimeError, match="float range.*eps 0.5"):
             stein_rate_series(D91, D19, 0.5, 402)
+
+
+class TestEpsOne:
+    """At eps = 1 the optimal test projects rho onto its support; on n
+    copies that support is decided on one copy, as sigma's kernel is."""
+
+    @pytest.mark.parametrize("d, ns", [(2, (1, 3, 5, 10)), (3, (1, 3, 5))])
+    def test_pure_state(self, d, ns):
+        # the block search read 3.0e-9 off at d = 2, n = 1 and 5.5e-8 at
+        # d = 3, n = 5, where it stopped in the bracket
+        psi = random_unitary(3, d)[:, 0]
+        rho, sigma = np.outer(psi, psi.conj()), random_density(5, d)
+        overlap = (psi.conj() @ sigma @ psi).real
+        for n in ns:
+            assert rel_err(prob_eps_tensor(rho, sigma, 1.0, n),
+                           overlap ** n) <= 1e-12
+            if d ** n <= 243:
+                dense = np_optimal_test(tensor_power(rho, n),
+                                        tensor_power(sigma, n), 1.0)
+                assert rel_err(dense.prob, overlap ** n) <= 1e-12
+                assert dense.power >= 1 - 1e-12
+
+    def test_graded_pair_decided_on_one_copy(self):
+        # diag(0.9, 0.1) against diag(0.1, 0.9) in a rotated basis keeps
+        # rounding off the diagonal, so it skips the type classes;
+        # rho^(x)20 spans 20 decades and is full rank: prob is 1
+        u = random_unitary(4, 2)
+        rho, sigma = (u @ a @ u.conj().T for a in (D91, D19))
+        assert hypotest._sigma_basis(rho, sigma)[0][0, 1] != 0
+        assert rel_err(prob_eps_tensor(rho, sigma, 1.0, 20),
+                       exact_type_class_oracle((0.9, 0.1), (0.1, 0.9), 20,
+                                               1.0)) <= 1e-12
+
+    def test_block_search_applies_the_rule_to_its_operator(self):
+        # the search itself applies the support rule to the operator it is
+        # given, here rho^(x)20, as np_optimal_test does to a dense one: a
+        # class with k first outcomes is support when 9^(k - 20) > 1e-12,
+        # k >= 8; it read 0.608 when it stopped where the bracket did
+        expected = sum(math.comb(20, k) * 0.1 ** k * 0.9 ** (20 - k)
+                       for k in range(8, 21))
+        assert rel_err(block_search(D91, D19, 1.0, 20)[0], expected) <= 1e-9
+        assert rel_err(block_search(D91, D19, 1.0, 12)[0],
+                       exact_type_class_oracle((0.9, 0.1), (0.1, 0.9), 12,
+                                               1.0)) <= 1e-12
