@@ -308,11 +308,12 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
     n_range = range(1, min(config.n_max, 3) + 1)
     for d in (2, 3):
         setups = []
+        # rho of setup m is drawn at 10d + m and sigma at 10d + m + 1
+        states = random_densities(seed, d, 10 * d + np.arange(1, 4))
         for m in (1, 2):
             obs = ObservableSet(d, tuple(random_observables(
                 seed, d, m, index=10 * d + m)))
-            rho = random_density(seed, d, index=10 * d + m)
-            sigma = random_density(seed, d, index=10 * d + m + 1)
+            rho, sigma = states[m - 1], states[m]
             kg_rho, kg_sigma = kg_build_stack(
                 obs, [obs.expectations(rho), obs.expectations(sigma)])
             gammas = {n: gamma_n(kg_sigma, kg_rho.mu, n) for n in n_range}

@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SUPPORT_LEAK_TOL, relative_entropy
+from .entropy import SUPPORT_LEAK_TOL
 from .operators import (LOG_SUPPORT_RTOL, PSD_ATOL, TRACE_ATOL,
                         check_hermitian, eig, hermitian_part, in_support, kron)
 
@@ -613,14 +613,13 @@ class SteinRateSeries:
 
 def stein_rate_series(rho: np.ndarray, sigma: np.ndarray, eps: float,
                       n_max: int) -> SteinRateSeries:
-    """Rates -(1/N) ln prob for N = 1..n_max, alongside S(rho||sigma); the
-    pair is rotated into sigma's eigenbasis, and each level of its block
-    images built, once for all N."""
+    """Rates -(1/N) ln prob for N = 1..n_max, alongside S(rho||sigma) as
+    _sigma_basis reads it; the pair is rotated into sigma's eigenbasis, and
+    each level of its block images built, once for all N."""
     r, s, _, rel = _sigma_basis(rho, sigma)
     rows, images = [], []
     for n in range(1, n_max + 1):
         prob = _n_copy_prob(r, s, rel, n, eps, images)
         rate = math.inf if prob <= 0 else -math.log(prob) / n
         rows.append((n, prob, rate))
-    return SteinRateSeries(rel_entropy=relative_entropy(rho, sigma),
-                           rows=rows)
+    return SteinRateSeries(rel_entropy=rel, rows=rows)

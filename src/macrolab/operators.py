@@ -3,7 +3,13 @@ products, partial traces, spectral splits, channels, and seeded random draws.
 
 All operators are plain complex numpy arrays.  Every function is pure; nothing
 is mutated in place.  Random draws are deterministic functions of
-(seed, tag, index) through numpy's PCG64 generator.
+(seed, tag, index) through numpy's PCG64 generator.  The streams of a stack
+of indices are built together: numpy's SeedSequence hash of the words
+[seed, tag, index] runs once over the stack in uint32 array arithmetic, and
+each PCG64 starts in the state np.random.default_rng([seed, tag, index])
+would give it.  In a stack of 1000 a stream then costs about 1.3 us, against
+11 us for a default_rng; a one-index draw costs about 40 us (2-core Xeon VM,
+numpy 2.4).
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ PSD_ATOL = 1e-10
 LOG_SUPPORT_RTOL = 1e-12
 DIM_CAP = 4096
 
-# RNG stream tags, one per draw type (seeded as default_rng([seed, tag, index]))
+# RNG stream tags, one per draw type: stream (seed, tag, index) is the PCG64
+# state that default_rng([seed, tag, index]) would build, made by _streams
 _TAG_DENSITY = 1
 _TAG_UNITARY = 2
 _TAG_HERMITIAN = 3
@@ -146,8 +153,135 @@ def partial_trace(rho_ab: np.ndarray, dims: tuple[int, int],
 # Seeded random suite
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), tag, int(index)])
+# The streams of a stack are built from numpy's SeedSequence hash
+# (numpy/random/bit_generator.pyx), run on uint32 words for all indices at
+# once.  Its call k of hashmix xors its value with INIT_A * MULT_A^k and
+# multiplies it by INIT_A * MULT_A^(k + 1); calls 0-3 hash the first four
+# entropy words into the pool, calls 4-15 mix the pool with itself, and
+# every further word takes four more.  State word i hashes pool word i % 4
+# the same way with INIT_B and MULT_B.  No constant depends on the data.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MULT_A = 0x931E8875
+
+
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _self_mix_rounds(hash_a: np.ndarray) -> list:
+    """Round src hashes pool word src into each other word, in increasing
+    order; its own slot takes a placeholder constant and is restored."""
+    rounds = []
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        xor, mult = np.zeros((2, _POOL), dtype=np.uint32)
+        xor[dst] = hash_a[4 + 3 * src:7 + 3 * src]
+        mult[dst] = hash_a[5 + 3 * src:8 + 3 * src]
+        rounds.append((src, xor, mult))
+    return rounds
+
+
+_HASH_A = _powers(0x43B0D7E5, _MULT_A, 21)
+_SELF_MIX = _self_mix_rounds(_HASH_A)
+_STEP_A = np.uint32(pow(_MULT_A, _POOL, 1 << 32))
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 9)
+# the eight state words, as two cycles through the pool
+_STATE_XOR = _HASH_B[:8].reshape(2, _POOL)
+_STATE_MULT = _HASH_B[1:].reshape(2, _POOL)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray,
+             mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ out >> _XSHIFT
+
+
+def _int_words(n) -> list[int]:
+    """int(n) as SeedSequence reads an int: little-endian uint32 words, the
+    one word 0 for 0."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _entropy_words(seed: int, tag: int,
+                   indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(words (k, w), counts (k,)): the words of [seed, tag, indices[j]],
+    zero-padded to w >= 4, and how many there are."""
+    head = _int_words(seed) + _int_words(tag)
+    idx = np.asarray(indices)
+    if idx.dtype.kind in "iu":      # fixed width: one or two words each
+        if idx.min(initial=0) < 0:
+            raise ValueError("expected non-negative integer")
+        idx = idx.astype(np.uint64)
+        words = np.zeros((len(idx), max(_POOL, len(head) + 2)),
+                         dtype=np.uint32)
+        words[:, :len(head)] = head
+        words[:, len(head)] = idx & _MASK32
+        words[:, len(head) + 1] = hi = idx >> np.uint64(32)
+        return words, len(head) + 1 + (hi > 0)
+    rows = [head + _int_words(index) for index in indices]
+    width = max([_POOL, *map(len, rows)])
+    words = np.array([r + [0] * (width - len(r)) for r in rows],
+                     dtype=np.uint32).reshape(len(rows), width)
+    return words, np.array([len(r) for r in rows], dtype=int)
+
+
+def _stream_states(seed: int, tag: int,
+                   indices: Sequence[int]) -> np.ndarray:
+    """(k, 4) uint64: row j is
+    SeedSequence([seed, tag, indices[j]]).generate_state(4, np.uint64)."""
+    words, counts = _entropy_words(seed, tag, indices)
+    pool = _hashmix(words[:, :_POOL], _HASH_A[:4], _HASH_A[1:5])
+    for src, xor, mult in _SELF_MIX:
+        mixed = _mix(pool, _hashmix(pool[:, src, None], xor, mult))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    # a word beyond the pool mixes into every pool word, in rows that have it
+    consts = _HASH_A[16:21]
+    for i in range(_POOL, words.shape[1]):
+        mixed = _mix(pool, _hashmix(words[:, i, None], consts[:4],
+                                    consts[1:]))
+        pool = np.where((counts > i)[:, None], mixed, pool)
+        consts = consts * _STEP_A
+    state = _hashmix(pool[:, None], _STATE_XOR, _STATE_MULT)
+    # as generate_state: little-endian word pairs, then native uint64
+    return (state.reshape(-1, 8).astype("<u4", order="C").view("<u8")
+            .astype(np.uint64))
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the four state words _stream_states computed for it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words
+
+
+def _streams(seed: int, tag: int,
+             indices: Sequence[int]) -> list[np.random.Generator]:
+    """The generators default_rng([seed, tag, index]) for index in indices,
+    state for state, from one vectorized SeedSequence hash."""
+    return [np.random.Generator(np.random.PCG64(_StateWords(words)))
+            for words in _stream_states(seed, tag, indices)]
 
 
 def _complex_gaussian(rng: np.random.Generator, dim: int,
@@ -162,8 +296,8 @@ def _complex_gaussians(seed: int, tag: int, indices: Sequence[int], dim: int,
     of the stream (seed, tag, indices[j])."""
     g = np.empty((len(indices), dim, dim if cols is None else cols),
                  dtype=complex)
-    for j, index in enumerate(indices):
-        g[j] = _complex_gaussian(_rng(seed, tag, index), dim, cols)
+    for j, rng in enumerate(_streams(seed, tag, indices)):
+        g[j] = _complex_gaussian(rng, dim, cols)
     return g
 
 
@@ -211,7 +345,7 @@ def random_unitary(seed: int, dim: int, index: int = 0) -> np.ndarray:
 
 
 def random_hermitian(seed: int, dim: int, index: int = 0) -> np.ndarray:
-    g = _complex_gaussian(_rng(seed, _TAG_HERMITIAN, index), dim)
+    g = _complex_gaussian(_streams(seed, _TAG_HERMITIAN, (index,))[0], dim)
     return hermitian_part(g)
 
 
@@ -228,7 +362,7 @@ def random_observable_sets(seed: int, dim: int, m: int,
     """
     if not 0 <= m < dim * dim:
         raise ValueError(f"{m} observables do not fit in dimension {dim}")
-    rngs = [_rng(seed, _TAG_OBSERVABLES, index) for index in indices]
+    rngs = _streams(seed, _TAG_OBSERVABLES, indices)
     basis = np.empty((len(rngs), m + 1, dim, dim), dtype=complex)
     basis[:, 0] = np.eye(dim, dtype=complex) / np.sqrt(dim)
     for a in range(1, m + 1):
@@ -263,8 +397,7 @@ def random_test_operators(seed: int, dim: int,
     the stream of indices[j]; one batched QR serves the whole stack."""
     g = np.empty((len(indices), dim, dim), dtype=complex)
     w = np.empty((len(indices), 1, dim))
-    for j, index in enumerate(indices):
-        rng = _rng(seed, _TAG_TEST_OP, index)
+    for j, rng in enumerate(_streams(seed, _TAG_TEST_OP, indices)):
         g[j] = _complex_gaussian(rng, dim)
         w[j] = rng.uniform(0.0, 1.0, dim)
     q = _haar_q(g)

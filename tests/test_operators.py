@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import macrolab.operators as operators
-from macrolab.operators import (_TAG_OBSERVABLES, apply_channel,
+from macrolab.operators import (_TAG_DENSITY, _TAG_HERMITIAN, _TAG_KRAUS,
+                                _TAG_OBSERVABLES, _TAG_TEST_OP, _TAG_UNITARY,
+                                _stream_states, _streams, apply_channel,
                                 apply_channels, check_hermitian, eig,
                                 frechet_exp, hermitian_part, kron,
                                 kraus_completeness_error, partial_trace,
@@ -13,7 +15,7 @@ from macrolab.operators import (_TAG_OBSERVABLES, apply_channel,
                                 random_observables, random_test_operator,
                                 random_test_operators, random_unitaries,
                                 random_unitary, tensor_power)
-from oracles import (depolarizing_kraus, op_exp, op_log_on_support,
+from oracles import (depolarizing_kraus, gaussian, op_exp, op_log_on_support,
                      pos_neg_parts, solo_apply_channel, solo_density,
                      solo_kraus, solo_observables, solo_test_operator,
                      solo_unitary, trace_norm)
@@ -303,6 +305,61 @@ def same(stack, solo):
     return all(np.array_equal(a, b) for a, b in zip(stack, solo, strict=True))
 
 
+TAGS = [_TAG_DENSITY, _TAG_UNITARY, _TAG_HERMITIAN, _TAG_OBSERVABLES,
+        _TAG_TEST_OP, _TAG_KRAUS]
+# one to four entropy words each: a row of seed, tag and index can pass the
+# four-word pool, which takes SeedSequence's extra mixing loop
+WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30]
+WIDE_INDICES = [0, 7, 2**32, 10**12, 10**25]
+
+
+class TestStreams:
+    """The stacked streams against numpy's own SeedSequence and default_rng,
+    so that a numpy release that changed either fails here."""
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_state_words_match_seed_sequence(self, seed):
+        for tag in TAGS:
+            want = [np.random.SeedSequence([seed, tag, i]).generate_state(
+                4, np.uint64) for i in WIDE_INDICES]
+            # one stack that mixes word counts, and each index alone
+            assert same(_stream_states(seed, tag, WIDE_INDICES), want)
+            for i, words in zip(WIDE_INDICES, want):
+                assert same(_stream_states(seed, tag, [i]), [words])
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_streams_match_default_rng(self, seed):
+        for tag in TAGS:
+            for rng, i in zip(_streams(seed, tag, WIDE_INDICES), WIDE_INDICES,
+                              strict=True):
+                fresh = np.random.default_rng([seed, tag, i])
+                assert rng.bit_generator.state == fresh.bit_generator.state
+                assert np.array_equal(rng.standard_normal(4),
+                                      fresh.standard_normal(4))
+
+    def test_index_array_types(self):
+        # fixed-width arrays take one path, Python ints beyond 64 bits
+        # another; numpy's unsigned 64-bit ints reach two words
+        for indices in (np.arange(5), np.array([2**64 - 1, 3], np.uint64),
+                        range(3), (2**64, 1)):
+            want = [np.random.SeedSequence([3, 1, int(i)]).generate_state(
+                4, np.uint64) for i in indices]
+            assert same(_stream_states(3, 1, indices), want)
+
+    def test_empty_stack(self):
+        assert _stream_states(5, 1, []).shape == (0, 4)
+        assert _stream_states(5, 1, np.arange(0)).shape == (0, 4)
+        assert _streams(5, 1, ()) == []
+
+    @pytest.mark.parametrize("seed, indices", [
+        (-1, [3]), (5, [3, -1]), (5, np.array([0, -2])), (5, [-10**25])])
+    def test_negative_seed_or_index_raises(self, seed, indices):
+        with pytest.raises(ValueError, match="non-negative"):
+            _stream_states(seed, 1, indices)
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.default_rng([seed, 1, *[int(i) for i in indices]])
+
+
 class TestStackedDraws:
     """Each stacked draw equals a loop of solo draws, one stream per index,
     bit for bit; the solo draws in oracles.py are the code the stacks
@@ -345,6 +402,19 @@ class TestStackedDraws:
         assert apply_channels(np.zeros((0, 3, 3), complex),
                               np.zeros((0, 2, 3, 3), complex)).shape \
             == (0, 3, 3)
+
+    def test_seed_of_several_words(self):
+        seed = 2**64 + 5
+        assert same(random_densities(seed, 3, INDICES),
+                    [solo_density(seed, 3, i) for i in INDICES])
+        assert same(random_test_operators(seed, 3, INDICES),
+                    [solo_test_operator(seed, 3, i) for i in INDICES])
+        for got, i in zip(random_observable_sets(seed, 3, 2, INDICES),
+                          INDICES):
+            assert same(got, solo_observables(seed, 3, 2, i))
+        rng = np.random.default_rng([seed, _TAG_HERMITIAN, 10**12])
+        assert np.array_equal(random_hermitian(seed, 3, index=10**12),
+                              hermitian_part(gaussian(rng, 3, 3)))
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_degenerate_observable_draw_is_drawn_again(self, dim,
