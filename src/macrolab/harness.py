@@ -297,9 +297,10 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
     never asserted.  Per dimension both setups (m = 1, 2) are built first,
     each fitting its kg_rho and kg_sigma in one stacked build; the test
     operators of the checks and of the diagnostic depend only on
-    (seed, d^N), so each is drawn once per (d, N) and serves both.  The
-    diagnostic reads each P Gamma's extreme eigenvalues from one d x d
-    eigensolve (coarsegrain.positivity_diagnostic).  Rows come out in
+    (seed, d^N), so each is drawn once per (d, N) and serves both.  Each
+    projector is lifted once per N, and every check on N copies reads that
+    lift.  The diagnostic reads each P Gamma's extreme eigenvalues from one
+    d x d eigensolve (coarsegrain.positivity_diagnostic).  Rows come out in
     (d, m, N) order.
     """
     seed, tol = config.seed, SLACK_TOL
@@ -316,26 +317,25 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
             rho, sigma = states[m - 1], states[m]
             kg_rho, kg_sigma = kg_build_stack(
                 obs, [obs.expectations(rho), obs.expectations(sigma)])
-            gammas = {n: gamma_n(kg_sigma, kg_rho.mu, n) for n in n_range}
-            setups.append((rho, kg_rho, kg_sigma, gammas,
+            lifted = {n: (kg_rho.lift(n), kg_sigma.lift(n)) for n in n_range}
+            gammas = {n: gamma_n(kg_sigma_n, kg_rho.mu)
+                      for n, (_, kg_sigma_n) in lifted.items()}
+            setups.append((rho, lifted, gammas,
                            epsilon_choices(max(gammas.values()))))
         draws = {n: (*random_test_operators(seed, d ** n, (100 + n, 200 + n)),
                      random_density(seed, d ** n, index=300 + n))
                  for n in n_range}
-        kg_rhos = [kg_rho for _, kg_rho, *_ in setups]
-        reports = {n: positivity_diagnostic(kg_rhos, n,
-                                            trials=min(config.trials, 100),
-                                            seed=seed)
-                   for n in n_range}
-        for m, (rho, kg_rho, kg_sigma, gammas, (eps, eps_prime)) \
-                in zip((1, 2), setups):
+        reports = {n: positivity_diagnostic(
+            [lifted[n][0] for _, lifted, *_ in setups],
+            trials=min(config.trials, 100), seed=seed) for n in n_range}
+        for m, (rho, lifted, gammas, (eps, eps_prime)) in zip((1, 2), setups):
             for n in n_range:
                 gamma_op, gamma_op2, tau = draws[n]
-                rho_n = tensor_power(rho, n)
-                mu_n, gbar, _ = kg_rho.lift(n)
+                kg_rho, kg_sigma = lifted[n]
+                rho_n, mu_n = tensor_power(rho, n), kg_rho.mu_n
                 p_gamma, p_gamma2, p_combo = kg_apply_observable(
                     kg_rho, np.stack([gamma_op, gamma_op2,
-                                      0.3 * gamma_op + 0.6 * gamma_op2]), n)
+                                      0.3 * gamma_op + 0.6 * gamma_op2]))
                 # defining property via the pairing
                 defect = abs(np.trace(rho_n @ p_gamma)
                              - np.trace(mu_n @ gamma_op))
@@ -344,12 +344,12 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                 lin = p_combo - 0.3 * p_gamma - 0.6 * p_gamma2
                 pairs["linearity"].append((float(np.max(np.abs(lin))), 1e-10))
                 # idempotency across different expectation values
-                ps_gamma = kg_apply_observable(kg_sigma, gamma_op, n)
-                idem = kg_apply_observable(kg_rho, ps_gamma, n) - ps_gamma
+                ps_gamma = kg_apply_observable(kg_sigma, gamma_op)
+                idem = kg_apply_observable(kg_rho, ps_gamma) - ps_gamma
                 pairs["idempotency"].append((float(np.linalg.norm(idem)), tol))
                 # expectation reproduction by the adjoint
-                lifted = kg_apply_state(kg_rho, tau, n)
-                gaps = np.einsum("aij,ji->a", gbar, lifted - tau)
+                gaps = np.einsum("aij,ji->a", kg_rho.gbar,
+                                 kg_apply_state(kg_rho, tau) - tau)
                 pairs["adjoint_expectations"] += [(abs(g), tol) for g in gaps]
                 # pairing-constraint slack for the eps/eps' choices
                 q_pairing = float((np.trace(mu_n @ gamma_op)
@@ -357,7 +357,7 @@ def run_kg_checks(config: ExperimentConfig) -> RunResult:
                 pairs["pairing_slack"].append((eps_prime - q_pairing,
                                                eps - tol))
                 # fixed point: gamma vanishes at rho = mu_f
-                g_fixed = gamma_n(kg_rho, kg_rho.mu, n)
+                g_fixed = gamma_n(kg_rho, kg_rho.mu)
                 pairs["fixed_point"].append((g_fixed, 1e-10))
                 report = reports[n][m - 1]
                 rows.append((n, d, m, gammas[n], report.min_eig,

@@ -82,9 +82,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SUPPORT_LEAK_TOL
-from .operators import (LOG_SUPPORT_RTOL, PSD_ATOL, TRACE_ATOL,
-                        check_hermitian, eig, hermitian_part, in_support, kron)
+from .entropy import pair_spectra
+from .operators import (LOG_SUPPORT_RTOL, PSD_ATOL, TRACE_ATOL, eig,
+                        hermitian_part, in_support, kron)
 
 KERNEL_BAND = 1e-10    # relative to <v|rho_b + t sigma_b|v>
 RESIDUAL_MARGIN = 10   # times the eigenpair residual
@@ -108,28 +108,16 @@ class NPTestResult:
 
 def _sigma_basis(rho: np.ndarray, sigma: np.ndarray) -> tuple:
     """(r, s, v, rel): rho in sigma's eigenbasis v, r = v^dag rho v, sigma's
-    ascending spectrum s, with 0 outside its support, and S(rho||sigma)
-    read from rho's spectrum, which the state check solves, and r's
-    diagonal: sum p ln p - sum_i r_ii ln s_i over sigma's support, inf when
-    rho leaks into sigma's kernel (relative_entropy's rule).  Rejects a pair
-    that is not two states of one dimension."""
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    check_hermitian(rho)
-    check_hermitian(sigma)
-    p = np.linalg.eigvalsh(rho)
-    w, v = eig(sigma)
+    ascending spectrum s, with 0 outside its support, and S(rho||sigma) as
+    relative_entropy reads it (entropy.pair_spectra).  Rejects a pair that
+    is not two states of one dimension."""
+    p, w, v, rel = pair_spectra(rho, sigma)
     for name, spec in (("rho", p), ("sigma", w)):
         if spec[0] < -PSD_ATOL or abs(spec.sum() - 1) > TRACE_ATOL:
             raise ValueError(f"{name} is not a state: lowest eigenvalue "
                              f"{spec[0]:.3e}, trace {spec.sum():.12g}")
     r = hermitian_part(v.conj().T @ rho @ v)
-    s = np.where(in_support(w), w, 0.0)
-    r_ii, on = np.diag(r).real, s > 0
-    p = p[in_support(p)]
-    rel = (math.inf if r_ii[~on].sum() > SUPPORT_LEAK_TOL
-           else float(p @ np.log(p) - r_ii[on] @ np.log(s[on])))
-    return r, s, v, rel
+    return r, np.where(in_support(w), w, 0.0), v, float(rel)
 
 
 def _split_at(blocks: list[Block], t: float) -> list[tuple]:
@@ -613,9 +601,10 @@ class SteinRateSeries:
 
 def stein_rate_series(rho: np.ndarray, sigma: np.ndarray, eps: float,
                       n_max: int) -> SteinRateSeries:
-    """Rates -(1/N) ln prob for N = 1..n_max, alongside S(rho||sigma) as
-    _sigma_basis reads it; the pair is rotated into sigma's eigenbasis, and
-    each level of its block images built, once for all N."""
+    """Rates -(1/N) ln prob for N = 1..n_max, alongside S(rho||sigma), equal
+    to relative_entropy(rho, sigma) bit for bit; the pair is rotated into
+    sigma's eigenbasis, and each level of its block images built, once for
+    all N."""
     r, s, _, rel = _sigma_basis(rho, sigma)
     rows, images = [], []
     for n in range(1, n_max + 1):

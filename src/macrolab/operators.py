@@ -436,8 +436,3 @@ def apply_channels(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
         raise ValueError(f"incomplete Kraus set: completeness error {err:.3e}")
     out = (kraus @ rho[:, None] @ dagger(kraus)).sum(axis=1)
     return hermitian_part(out)
-
-
-def apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
-    """Apply a CPTP channel given by its Kraus operators."""
-    return apply_channels(rho[None], np.asarray(kraus)[None])[0]

@@ -196,13 +196,12 @@ def solo_apply_channel(rho: np.ndarray, kraus) -> np.ndarray:
     return hermitian_part(sum(k @ rho @ k.conj().T for k in kraus))
 
 
-def kg_gamma_n(kg, rho: np.ndarray, n: int) -> float:
-    """gamma_N from the full lift, with gbar_a(rho^N) read off the lifted
-    copy averages: max(tr Delta_+, tr Delta_-) of Delta = rho^N - P_adj."""
-    rho_n = tensor_power(rho, n)
-    mu_n, gbar, dbar = kg.lift(n)
-    gbar_rho = np.einsum("aij,ji->a", gbar, rho_n).real
-    adj = mu_n + np.tensordot(gbar_rho - kg.f, dbar, 1)
+def kg_gamma_n(kg, rho: np.ndarray) -> float:
+    """gamma_N of a projector lifted to N copies, with gbar_a(rho^N) read off
+    its copy averages: max(tr Delta_+, tr Delta_-) of Delta = rho^N - P_adj."""
+    rho_n = tensor_power(rho, kg.n)
+    gbar_rho = np.einsum("aij,ji->a", kg.gbar, rho_n).real
+    adj = kg.mu_n + np.tensordot(gbar_rho - kg.f, kg.dbar, 1)
     w = np.linalg.eigvalsh(rho_n - hermitian_part(adj))
     return max(float(np.sum(w[w > 0])), float(-np.sum(w[w < 0])))
 

@@ -12,6 +12,7 @@ from macrolab.coarsegrain import (_CHUNK_ENTRIES, KGProjector,
                                   kg_build, kg_build_stack,
                                   positivity_diagnostic, product_coarse_grain)
 from macrolab.entropy import relative_entropy
+from macrolab.harness import ExperimentConfig, run_experiment
 from macrolab.maxent import InfeasibleTargetError, ObservableSet, fit_maxent
 from macrolab.operators import (DIM_CAP, random_density, random_observables,
                                 random_test_operator, random_test_operators,
@@ -113,7 +114,7 @@ class TestKGBuild:
         kg = kg_build(ObservableSet(2, ()), [])
         for n in (1, 2):
             gamma = random_test_operator(7, 2 ** n)
-            out = kg_apply_observable(kg, gamma, n)
+            out = kg_apply_observable(kg.lift(n), gamma)
             expected = (np.trace(tensor_power(kg.mu, n) @ gamma).real
                         * np.eye(2 ** n))
             np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -126,7 +127,9 @@ class TestKGLift:
                 obs = seeded_set(21, dim, m, index=m)
                 kg = kg_build(obs, obs.expectations(random_density(21, dim)))
                 for n in (1, 2, 3, 4):
-                    mu_n, gbar, dbar = kg.lift(n)
+                    lifted = kg.lift(n)
+                    mu_n, gbar, dbar = lifted.mu_n, lifted.gbar, lifted.dbar
+                    assert lifted.n == n
                     assert gbar.shape == dbar.shape == (m, dim ** n, dim ** n)
                     np.testing.assert_allclose(mu_n, tensor_power(kg.mu, n),
                                                rtol=0, atol=1e-13)
@@ -142,14 +145,67 @@ class TestKGLift:
         kg = kg_build(seeded_set(22, 2, 1), [0.1])
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"exceeds cap {DIM_CAP}"):
-            positivity_diagnostic([kg], 13, trials=1, seed=0)
+            kg.lift(13)
         assert time.perf_counter() - start < 1.0
+
+    def test_built_projector_is_its_own_one_copy_lift(self):
+        kg = kg_build(seeded_set(22, 3, 2), [0.1, -0.05])
+        assert kg.n == 1 and kg.mu_n is kg.mu and kg.dbar is kg.derivs
+        one = kg.lift(1)
+        assert one.n == 1
+        assert np.array_equal(one.mu_n, kg.mu)
+        assert np.array_equal(one.dbar, kg.derivs)
+        # a lift is always taken from the one-copy data
+        assert np.array_equal(kg.lift(2).lift(3).mu_n, kg.lift(3).mu_n)
+
+    def test_kg_battery_lifts_each_projector_once_per_n(self, monkeypatch):
+        # 2 dims x 2 m x (kg_rho, kg_sigma) x N in {1, 2, 3}
+        lift, lifted = KGProjector.lift, []
+
+        def counting(kg, n):
+            lifted.append((kg, n))    # held, so that no id is reused
+            return lift(kg, n)
+        monkeypatch.setattr(KGProjector, "lift", counting)
+        run_experiment(ExperimentConfig(experiment="kg-checks", trials=100,
+                                        seed=42, n_max=3))
+        assert len(lifted) == 24
+        assert len({(id(kg), n) for kg, n in lifted}) == 24
+
+    def test_gamma_n_and_diagnostic_never_build_gbar(self):
+        obs = seeded_set(22, 2, 2, index=2)
+        kg = kg_build(obs, obs.expectations(random_density(22, 2))).lift(3)
+        gamma_n(kg, random_density(22, 2, index=1))
+        positivity_diagnostic([kg], trials=10, seed=22)
+        assert "gbar" not in kg.__dict__
+        kg_apply_observable(kg, random_test_operator(22, 8))
+        assert "gbar" in kg.__dict__
+
+    @pytest.mark.parametrize("dim, n, op_dim", [(2, 2, 8), (2, 3, 4),
+                                                (3, 1, 2), (2, 1, 3)])
+    def test_operand_of_another_lift_rejected(self, dim, n, op_dim):
+        kg = kg_build(seeded_set(22, dim, 1), [0.1]).lift(n)
+        op = random_test_operator(22, op_dim)
+        with pytest.raises(ValueError, match=rf"^tau dim {op_dim} != "
+                           rf"{dim}\^{n}$"):
+            kg_apply_state(kg, op)
+        with pytest.raises(ValueError, match=rf"^observable dim {op_dim} "
+                           rf"!= {dim}\^{n}$"):
+            kg_apply_observable(kg, op)
+        if op_dim != dim:
+            with pytest.raises(ValueError,
+                               match=rf"^rho dim {op_dim} != {dim}\^1$"):
+                gamma_n(kg, op)
+
+    def test_diagnostic_rejects_projectors_on_different_n(self):
+        kg = kg_build(seeded_set(22, 2, 1), [0.1])
+        with pytest.raises(ValueError, match=r"different dims \[4, 8\]"):
+            positivity_diagnostic([kg.lift(2), kg.lift(3)], trials=5, seed=0)
 
 
 @pytest.mark.parametrize("call", [
-    lambda kg, bad: kg_apply_state(kg, bad, 1),
-    lambda kg, bad: kg_apply_observable(kg, bad, 1),
-    lambda kg, bad: gamma_n(kg, bad, 2),
+    lambda kg, bad: kg_apply_state(kg.lift(1), bad),
+    lambda kg, bad: kg_apply_observable(kg.lift(1), bad),
+    lambda kg, bad: gamma_n(kg.lift(2), bad),
 ], ids=["apply-state", "apply-observable", "gamma-n"])
 def test_non_hermitian_input_rejected(call):
     kg = kg_build(seeded_set(23, 2, 1), [0.1])
@@ -164,21 +220,21 @@ class TestKGApplyState:
         rho = random_density(8, 2)
         kg = kg_build(obs, obs.expectations(rho))
         for n in (1, 2, 3):
-            out = kg_apply_state(kg, tensor_power(rho, n), n)
+            out = kg_apply_state(kg.lift(n), tensor_power(rho, n))
             np.testing.assert_allclose(out, tensor_power(kg.mu, n), atol=1e-8)
 
     def test_single_copy_matched_expectations(self):
         obs = seeded_set(9, 2, 1)
         tau = random_density(9, 2)
         kg = kg_build(obs, obs.expectations(tau))
-        np.testing.assert_allclose(kg_apply_state(kg, tau, 1), kg.mu,
+        np.testing.assert_allclose(kg_apply_state(kg.lift(1), tau), kg.mu,
                                    atol=1e-8)
 
     def test_expectation_reproduction(self):
         obs = seeded_set(10, 2, 1)
         kg = kg_build(obs, [0.15])
         tau = random_density(10, 4)  # a correlated two-copy state
-        out = kg_apply_state(kg, tau, 2)
+        out = kg_apply_state(kg.lift(2), tau)
         assert abs(np.trace(out).real - 1) < 1e-10
         gbar = lifted_observable(kg, 0, 2)
         assert abs(np.trace(gbar @ out).real
@@ -190,7 +246,8 @@ class TestKGApplyObservable:
         kg = kg_build(seeded_set(11, 2, 1), [0.1])
         for n in (1, 2):
             np.testing.assert_allclose(
-                kg_apply_observable(kg, np.eye(2 ** n, dtype=complex), n),
+                kg_apply_observable(kg.lift(n),
+                                    np.eye(2 ** n, dtype=complex)),
                 np.eye(2 ** n), atol=1e-10)
 
     def test_defining_property_via_pairing(self):
@@ -204,7 +261,7 @@ class TestKGApplyObservable:
                         continue
                     gamma = random_test_operator(seed, dim ** n, index=n)
                     lhs = np.trace(tensor_power(rho, n)
-                                   @ kg_apply_observable(kg, gamma, n))
+                                   @ kg_apply_observable(kg.lift(n), gamma))
                     rhs = np.trace(tensor_power(kg.mu, n) @ gamma)
                     assert abs(lhs - rhs) < 1e-9
 
@@ -213,8 +270,8 @@ class TestKGApplyObservable:
         for n in (1, 2):
             tau = random_density(12, 2 ** n, index=n)
             gamma = random_test_operator(12, 2 ** n, index=n)
-            lhs = np.trace(tau @ kg_apply_observable(kg, gamma, n))
-            rhs = np.trace(kg_apply_state(kg, tau, n) @ gamma)
+            lhs = np.trace(tau @ kg_apply_observable(kg.lift(n), gamma))
+            rhs = np.trace(kg_apply_state(kg.lift(n), tau) @ gamma)
             assert abs(lhs - rhs) < 1e-9
 
     def test_idempotency_distinct_states(self):
@@ -227,8 +284,8 @@ class TestKGApplyObservable:
                 kg_sigma = kg_build(obs, obs.expectations(sigma))
                 for n in (1, 2, 3):
                     gamma = random_test_operator(seed, dim ** n, index=n)
-                    ps = kg_apply_observable(kg_sigma, gamma, n)
-                    pps = kg_apply_observable(kg_rho, ps, n)
+                    ps = kg_apply_observable(kg_sigma.lift(n), gamma)
+                    pps = kg_apply_observable(kg_rho.lift(n), ps)
                     assert np.linalg.norm(pps - ps) < 1e-9
 
     def test_stack_matches_solo_calls(self):
@@ -237,21 +294,22 @@ class TestKGApplyObservable:
                 obs = seeded_set(24, dim, m, index=m)
                 kg = kg_build(obs, obs.expectations(random_density(24, dim)))
                 for n in (1, 2, 3):
+                    lifted = kg.lift(n)
                     gammas = random_test_operators(24, dim ** n, range(5))
-                    stacked = kg_apply_observable(kg, gammas, n)
+                    stacked = kg_apply_observable(lifted, gammas)
                     assert stacked.shape == gammas.shape
                     for gamma, out in zip(gammas, stacked):
                         np.testing.assert_allclose(
-                            out, kg_apply_observable(kg, gamma, n),
+                            out, kg_apply_observable(lifted, gamma),
                             rtol=0, atol=1e-14)
 
     def test_linearity(self):
         kg = kg_build(seeded_set(13, 3, 2), [0.1, 0.05])
         g1 = random_test_operator(13, 3)
         g2 = random_test_operator(13, 3, index=1)
-        combo = kg_apply_observable(kg, 0.7 * g1 + 1.3 * g2, 1)
-        parts = 0.7 * kg_apply_observable(kg, g1, 1) \
-            + 1.3 * kg_apply_observable(kg, g2, 1)
+        combo = kg_apply_observable(kg, 0.7 * g1 + 1.3 * g2)
+        parts = 0.7 * kg_apply_observable(kg, g1) \
+            + 1.3 * kg_apply_observable(kg, g2)
         np.testing.assert_allclose(combo, parts, atol=1e-10)
 
     def test_range_depends_only_on_lifted_observables(self):
@@ -263,7 +321,7 @@ class TestKGApplyObservable:
         mu_rho = kg_build(obs, obs.expectations(rho)).mu
         for n in (1, 2):
             gamma = random_test_operator(14, 2 ** n, index=n)
-            pg = kg_apply_observable(kg_sigma, gamma, n)
+            pg = kg_apply_observable(kg_sigma.lift(n), gamma)
             lhs = np.trace(tensor_power(rho, n) @ pg)
             rhs = np.trace(tensor_power(mu_rho, n) @ pg)
             assert abs(lhs - rhs) < 1e-9
@@ -273,12 +331,12 @@ class TestPositivityDiagnostic:
     def test_identity_and_zero_in_range(self):
         kg = kg_build(seeded_set(15, 2, 1), [0.1])
         for gamma in (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)):
-            w = np.linalg.eigvalsh(kg_apply_observable(kg, gamma, 1))
+            w = np.linalg.eigvalsh(kg_apply_observable(kg.lift(1), gamma))
             assert w[0] >= -1e-9 and w[-1] <= 1 + 1e-9
 
     def test_report_shape(self):
         kg = kg_build(seeded_set(16, 2, 1), [0.1])
-        report = positivity_diagnostic([kg], 1, trials=500, seed=16)[0]
+        report = positivity_diagnostic([kg], trials=500, seed=16)[0]
         assert report.trials == 500
         assert 0.0 <= report.violation_fraction <= 1.0
         assert report.min_eig <= report.max_eig
@@ -294,7 +352,8 @@ class TestPositivityDiagnostic:
             kgs = [kg_build(obs, obs.expectations(
                 random_density(25, dim, index=5)))
                 for obs in (seeded_set(25, dim, m, index=m) for m in ms)]
-            reports = positivity_diagnostic(kgs, n, trials=30, seed=25)
+            reports = positivity_diagnostic([kg.lift(n) for kg in kgs],
+                                            trials=30, seed=25)
             assert len(reports) == len(kgs)
             for kg, report in zip(kgs, reports):
                 eigs = [np.linalg.eigvalsh(kg_project(
@@ -332,7 +391,7 @@ class TestPositivityDiagnostic:
     def test_eigensolves_only_one_copy_operators(self, monkeypatch):
         cases = [(2, 3), (3, 2), (2, 6)]
         kgs = {(dim, n): [kg_build(obs, obs.expectations(
-            random_density(31, dim))) for obs in (
+            random_density(31, dim))).lift(n) for obs in (
                 seeded_set(31, dim, m, index=m) for m in (1, 2))]
             for dim, n in cases}
         shapes = []
@@ -348,7 +407,7 @@ class TestPositivityDiagnostic:
                                 recording(getattr(np.linalg, name)))
         for dim, n in cases:
             del shapes[:]
-            positivity_diagnostic(kgs[dim, n], n, trials=30, seed=31)
+            positivity_diagnostic(kgs[dim, n], trials=30, seed=31)
             assert shapes and all(sh[-2:] == (dim, dim) for sh in shapes)
 
     def test_shared_draws_match_one_projector_calls(self):
@@ -358,11 +417,11 @@ class TestPositivityDiagnostic:
         cases = [(d, n) for d in (2, 3) for n in (1, 2, 3)] + [(2, 6)]
         for dim, n in cases:
             rho = random_density(27, dim, index=3)
-            kgs = [kg_build(obs, obs.expectations(rho))
+            kgs = [kg_build(obs, obs.expectations(rho)).lift(n)
                    for obs in (seeded_set(27, dim, m, index=m)
                                for m in (1, 2))]
-            both = positivity_diagnostic(kgs, n, trials=30, seed=27)
-            assert both == [positivity_diagnostic([kg], n, trials=30,
+            both = positivity_diagnostic(kgs, trials=30, seed=27)
+            assert both == [positivity_diagnostic([kg], trials=30,
                                                   seed=27)[0] for kg in kgs]
 
     @pytest.mark.parametrize("dims, trials, match", [
@@ -371,14 +430,14 @@ class TestPositivityDiagnostic:
     def test_rejects_invalid_input(self, dims, trials, match):
         kgs = [kg_build(seeded_set(28, d, 1), [0.1]) for d in dims]
         with pytest.raises(ValueError, match=match):
-            positivity_diagnostic(kgs, 1, trials=trials, seed=0)
+            positivity_diagnostic(kgs, trials=trials, seed=0)
 
     def test_peak_memory_independent_of_trials(self):
-        kg = kg_build(seeded_set(25, 2, 1), [0.1])
+        kg = kg_build(seeded_set(25, 2, 1), [0.1]).lift(7)
         peaks = []
         for trials in (2, 40):
             tracemalloc.start()
-            positivity_diagnostic([kg], 7, trials=trials, seed=25)
+            positivity_diagnostic([kg], trials=trials, seed=25)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
@@ -389,7 +448,7 @@ class TestGammaN:
         obs = seeded_set(17, 2, 1)
         kg = kg_build(obs, [0.2])
         for n in (1, 2, 3):
-            assert gamma_n(kg, kg.mu, n) < 1e-10
+            assert gamma_n(kg.lift(n), kg.mu) < 1e-10
 
     def test_matches_lift_with_copy_averages(self):
         # gamma_n reads gbar_a(rho^N) as tr(G_a rho) tr(rho)^(N-1)
@@ -399,22 +458,23 @@ class TestGammaN:
             rho = random_density(26, dim, index=1)
             for n in (1, 2, 3):
                 for state in (rho, 2 * rho):
-                    assert abs(gamma_n(kg, state, n)
-                               - kg_gamma_n(kg, state, n)) < 1e-12
+                    lifted = kg.lift(n)
+                    assert abs(gamma_n(lifted, state)
+                               - kg_gamma_n(lifted, state)) < 1e-12
 
     def test_range(self):
         obs = seeded_set(18, 2, 1)
         rho = random_density(18, 2)
         kg = kg_build(obs, [0.3])
         for n in (1, 2):
-            assert 0.0 <= gamma_n(kg, rho, n) <= 1 + 1e-9
+            assert 0.0 <= gamma_n(kg.lift(n), rho) <= 1 + 1e-9
 
     def test_sampling_and_sign_projector_oracle(self):
         obs = seeded_set(19, 2, 1)
         rho = random_density(19, 2)
         kg = kg_build(obs, [0.25])
-        value = gamma_n(kg, rho, 1)
-        delta = rho - kg_apply_state(kg, rho, 1)
+        value = gamma_n(kg.lift(1), rho)
+        delta = rho - kg_apply_state(kg.lift(1), rho)
         # every sampled test is dominated
         for i in range(1000):
             gamma = random_test_operator(19, 2, index=i)
@@ -449,15 +509,15 @@ class TestEpsilonChoices:
         sigma = random_density(20, 2, index=1)
         kg_sigma = kg_build(obs, obs.expectations(sigma))
         mu_rho = kg_build(obs, obs.expectations(rho)).mu
-        cap = max(gamma_n(kg_sigma, mu_rho, n) for n in (1, 2, 3))
+        cap = max(gamma_n(kg_sigma.lift(n), mu_rho) for n in (1, 2, 3))
         eps, eps_prime = epsilon_choices(cap)
         for n in (1, 2, 3):
-            mu_n = tensor_power(mu_rho, n)
+            mu_n, kg_sigma_n = tensor_power(mu_rho, n), kg_sigma.lift(n)
             for i in range(20):
                 gamma = random_test_operator(20, 2 ** n, index=100 * n + i)
                 q_pair = (np.trace(mu_n @ gamma)
                           - np.trace(mu_n @ kg_apply_observable(
-                              kg_sigma, gamma, n))).real
+                              kg_sigma_n, gamma))).real
                 assert eps_prime - q_pair >= eps - 1e-9
 
 

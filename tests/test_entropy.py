@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macrolab.entropy import relative_entropy
-from macrolab.operators import (apply_channel, random_density, random_kraus,
+from macrolab.operators import (apply_channels, random_density, random_kraus,
                                 random_unitary)
 from oracles import op_log_on_support, trace_distance, von_neumann
 
@@ -84,9 +84,8 @@ class TestRelativeEntropy:
         rho = random_density(seed, 3)
         sigma = random_density(seed, 3, index=1)
         kraus = random_kraus(seed, 3, rank)
-        assert relative_entropy(apply_channel(rho, kraus),
-                                apply_channel(sigma, kraus)) \
-            <= relative_entropy(rho, sigma) + 1e-9
+        out = apply_channels(np.stack([rho, sigma]), np.stack([kraus, kraus]))
+        assert relative_entropy(*out) <= relative_entropy(rho, sigma) + 1e-9
 
 
 class TestStackedRelativeEntropy:

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 import macrolab.operators as operators
 from macrolab.operators import (_TAG_DENSITY, _TAG_HERMITIAN, _TAG_KRAUS,
                                 _TAG_OBSERVABLES, _TAG_TEST_OP, _TAG_UNITARY,
-                                _stream_states, _streams, apply_channel,
-                                apply_channels, check_hermitian, eig,
+                                _stream_states, _streams, apply_channels,
+                                check_hermitian, eig,
                                 frechet_exp, hermitian_part, kron,
                                 kraus_completeness_error, partial_trace,
                                 random_densities, random_density,
@@ -448,7 +448,7 @@ class TestStackedDraws:
             out = apply_channels(rho, kraus)
             assert same(out, [solo_apply_channel(r, k)
                               for r, k in zip(rho, kraus)])
-            assert same(out, [apply_channel(r, k)
+            assert same(out, [apply_channels(r[None], k[None])[0]
                               for r, k in zip(rho, kraus)])
 
     def test_apply_channels_rejects_an_incomplete_set(self):
@@ -461,29 +461,32 @@ class TestStackedDraws:
             solo_apply_channel(rho[1], kraus[1])
         assert str(stacked.value) == str(solo.value)
         with pytest.raises(ValueError, match="incomplete"):
-            apply_channel(rho[1], kraus[1])
+            apply_channels(rho[[1]], kraus[[1]])
         apply_channels(rho[[0, 2]], kraus[[0, 2]])
 
 
 class TestApplyChannel:
     def test_identity_channel(self):
         rho = random_density(2, 3)
-        np.testing.assert_allclose(apply_channel(rho, [np.eye(3, dtype=complex)]),
+        identity = np.eye(3, dtype=complex)[None, None]
+        np.testing.assert_allclose(apply_channels(rho[None], identity)[0],
                                    rho, atol=1e-14)
 
     def test_full_depolarization(self):
         rho = random_density(2, 3)
-        np.testing.assert_allclose(apply_channel(rho, depolarizing_kraus(3)),
+        kraus = np.array(depolarizing_kraus(3))[None]
+        np.testing.assert_allclose(apply_channels(rho[None], kraus)[0],
                                    np.eye(3) / 3, atol=1e-12)
 
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError, match="incomplete"):
-            apply_channel(random_density(0, 2), [0.5 * np.eye(2, dtype=complex)])
+            apply_channels(random_density(0, 2)[None],
+                           0.5 * np.eye(2, dtype=complex)[None, None])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 4))
     def test_output_valid_density(self, seed, rank):
         rho = random_density(seed, 3)
-        out = apply_channel(rho, random_kraus(seed, 3, rank))
+        out = apply_channels(rho[None], random_kraus(seed, 3, rank)[None])[0]
         assert abs(np.trace(out).real - 1) < 1e-10
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
