@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import macrolab.operators as operators
+from macrolab.coarsegrain import _CHUNK_ENTRIES
 from macrolab.operators import (_TAG_DENSITY, _TAG_HERMITIAN, _TAG_KRAUS,
                                 _TAG_OBSERVABLES, _TAG_TEST_OP, _TAG_UNITARY,
                                 _stream_states, _streams, apply_channels,
@@ -281,7 +282,8 @@ class TestRandomSuite:
         w = np.linalg.eigvalsh(random_test_operator(31, 5))
         assert w[0] >= -1e-12 and w[-1] <= 1 + 1e-12
 
-    @pytest.mark.parametrize("dim", [2, 3, 8, 27, 128])
+    # the kg battery's d^N among them
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 9, 27, 128])
     def test_test_operator_stack_matches_solo_draws(self, dim):
         k = 3 if dim == 128 else 7
         stack = random_test_operators(31, dim, range(k))
@@ -290,6 +292,17 @@ class TestRandomSuite:
             assert np.array_equal(stack[i],
                                   random_test_operator(31, dim, index=i))
             assert np.array_equal(stack[i], solo_test_operator(31, dim, i))
+
+    def test_test_operator_stack_equals_its_chunks(self):
+        # the positivity diagnostic's shapes: 100 trials at D = 27, drawn in
+        # chunks of _CHUNK_ENTRIES // 27**2 = 22
+        chunk = _CHUNK_ENTRIES // 27 ** 2
+        stack = random_test_operators(42, 27, range(100))
+        chunks = [random_test_operators(42, 27, range(s, min(s + chunk, 100)))
+                  for s in range(0, 100, chunk)]
+        assert np.array_equal(stack, np.concatenate(chunks))
+        for i in (0, 21, 22, 99):
+            assert np.array_equal(stack[i], solo_test_operator(42, 27, i))
 
     def test_kraus_completeness(self):
         kraus = random_kraus(12, 2, 3)
@@ -345,6 +358,8 @@ class TestStreams:
             want = [np.random.SeedSequence([3, 1, int(i)]).generate_state(
                 4, np.uint64) for i in indices]
             assert same(_stream_states(3, 1, indices), want)
+            assert same(_stream_states(np.int64(3), np.uint8(1), indices),
+                        want)
 
     def test_empty_stack(self):
         assert _stream_states(5, 1, []).shape == (0, 4)
@@ -358,6 +373,16 @@ class TestStreams:
             _stream_states(seed, 1, indices)
         with pytest.raises(ValueError, match="non-negative"):
             np.random.default_rng([seed, 1, *[int(i) for i in indices]])
+
+    @pytest.mark.parametrize("seed, indices", [
+        (5.0, [3]), (5, [2.5]), (5, [2.0]), (5, [3, np.float64(2.0)]),
+        (5, np.array([1.5, 2.0])), (2**64 + 0.5, [3])])
+    def test_non_integer_seed_or_index_raises(self, seed, indices):
+        # as SeedSequence: a float is refused even when it is integral
+        with pytest.raises(TypeError, match="seed must be integer"):
+            _stream_states(seed, 1, indices)
+        with pytest.raises(TypeError, match="seed must be integer"):
+            np.random.default_rng([seed, 1, *indices])
 
 
 class TestStackedDraws:
@@ -423,16 +448,23 @@ class TestStackedDraws:
         # vanishes against the identity; that element draws again from its
         # own stream, the others are untouched
         fresh = np.random.default_rng([5, _TAG_OBSERVABLES, 7]).bit_generator
-        real = operators._complex_gaussian
+        real = operators._gaussians
         calls = []
 
-        def draw(rng, d, cols=None):
+        def draw(rng, d, cols):
             first = rng.bit_generator.state == fresh.state
-            g = real(rng, d, cols)
-            calls.append(first)
+            g = gaussian(rng, d, cols)
             return 2.5 * np.eye(d, dtype=complex) if first else g
+
+        def draws(rngs, shape):
+            # each stream's draw as draw makes it, one entry in calls each
+            first = [rng.bit_generator.state == fresh.state for rng in rngs]
+            g = real(rngs, shape)
+            calls.extend(first)
+            g[np.array(first, dtype=bool)] = 2.5 * np.eye(shape[0])
+            return g
         clean = random_observable_sets(5, dim, 2, INDICES)
-        monkeypatch.setattr(operators, "_complex_gaussian", draw)
+        monkeypatch.setattr(operators, "_gaussians", draws)
         sets = random_observable_sets(5, dim, 2, INDICES)
         # two members for five elements, plus one redraw for each 7
         assert sum(calls) == 2 and len(calls) == 12
