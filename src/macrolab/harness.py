@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise ValueError("n_max must be >= 1")
         if self.experiment == "stein" and self.n_max < 2:
             raise ValueError("stein compares two rates: n_max must be >= 2")
+        if self.experiment == "stein" and self.epsilon == 1:
+            raise ValueError("stein's rates are all 0 at epsilon 1: epsilon "
+                             "must be < 1")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         d = self.dim or 4       # monotonicity clamps m per dimension
@@ -278,9 +281,9 @@ def run_stein(config: ExperimentConfig) -> RunResult:
     # hard invariant: the rate approaches the relative entropy
     first_gap = abs(series.rows[0][2] - rel)
     last_gap = abs(series.rows[-1][2] - rel)
-    trend = Check("rate_trend", last_gap, first_gap, last_gap < first_gap)
     return RunResult(config, ("N", "prob", "rate", "relative_entropy", "gap"),
-                     rows, [trend])
+                     rows, [_check("rate_trend", operator.lt,
+                                   [(last_gap, first_gap)])])
 
 
 # Kawasaki-Gunton hard checks and the comparison each one makes

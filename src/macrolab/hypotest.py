@@ -6,11 +6,12 @@ Neyman-Pearson threshold t, with a fractional weight on the near-kernel band
 so the constraint is met with equality.
 
 Every search runs in sigma's eigenbasis v, where each entry point validates
-its pair and rotates it once: rho to r = v^dag rho v, sigma to its spectrum
-s, 0 off its support.  One threshold search serves every caller.  It runs on
-weighted blocks (m_b, rho_b, s_b), where s_b is the diagonal of sigma_b and
-its zeros are sigma's kernel, which stand for rho = (+)_b rho_b (x) 1_{m_b}
-and sigma likewise, and minimizes sum_b m_b tr(sigma_b Gamma_b) subject to
+its pair and rotates it once: rho to r = v^dag rho v over its trace, so that
+rho^(x)N has mass 1 up to rounding, sigma to its spectrum s, 0 off its
+support.  One threshold search serves every caller.  It runs on weighted
+blocks (m_b, rho_b, s_b), where s_b is the diagonal of sigma_b and its
+zeros are sigma's kernel, which stand for rho = (+)_b rho_b (x) 1_{m_b} and
+sigma likewise, and minimizes sum_b m_b tr(sigma_b Gamma_b) subject to
 sum_b m_b tr(rho_b Gamma_b) >= eps.  A single pair is the block (1, r, s).
 The search reads both traces from the overlaps of each eigenvector v_b of
 rho_b - t sigma_b with rho_b and s_b, and returns each test Gamma_b as its
@@ -60,18 +61,19 @@ plain bisection (40 from a factor 2, up to 80 from lo = 0) plus one step
 per factor 4 by which min |g - eps| over the ends falls, which the float
 spacing of g - eps bounds to about 27 at eps = 1/2 and more as eps nears 1;
 in practice a search splits about 10 thresholds.  t = 0, the test onto
-rho's support, is split only while lo = 0 or when neither end gives a
-feasible test.  At eps = 1 the search returns that support test, each rho_b
+rho's support, is split only while lo = 0.  One move splits each threshold,
+moves lo or hi and counts the step.  The search returns the better feasible
+test at lo and hi, and raises RuntimeError, naming the bracket, when neither
+is feasible.  At eps = 1 the search returns that support test, each rho_b
 projected onto its eigenvalues above LOG_SUPPORT_RTOL of the largest over
 all blocks; N copies decide that support on one copy (_n_copy_prob).  An
-eigenvector v of
-rho_b - t sigma_b is in the near-kernel band when its eigenvalue lies within
-KERNEL_BAND * <v|rho_b + t sigma_b|v> of 0, so that its likelihood ratio is
-within about 2 * KERNEL_BAND of t, or within RESIDUAL_MARGIN times its
-eigenpair residual, where the eigensolve cannot tell the sign.  Both bounds
-scale with the data; there is no absolute band.  After MAX_SEARCH_STEPS
-steps, or when the threshold exceeds the float range, the search raises
-RuntimeError.
+eigenvector v of rho_b - t sigma_b is in the near-kernel band when its
+eigenvalue lies within KERNEL_BAND * <v|rho_b + t sigma_b|v> of 0, so that
+its likelihood ratio is within about 2 * KERNEL_BAND of t, or within
+RESIDUAL_MARGIN times its eigenpair residual, where the eigensolve cannot
+tell the sign.  Both bounds scale with the data; there is no absolute band.
+After MAX_SEARCH_STEPS steps, or when the threshold exceeds the float range,
+the search raises RuntimeError as well.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ from .operators import (LOG_SUPPORT_RTOL, PSD_ATOL, TRACE_ATOL, eig,
 KERNEL_BAND = 1e-10    # relative to <v|rho_b + t sigma_b|v>
 RESIDUAL_MARGIN = 10   # times the eigenpair residual
 BISECT_WIDTH = 1e-12
-# a search takes about 10 steps; at most 11 move t by a squaring ratio to the
-# float range, 10 bisect log t and 80 close the bracket, or 160 when the
-# threshold is below 1, plus the steps that cut |g - eps| by 4x
+# a search takes about 10 steps after its split at t0, which is none; at most
+# 11 move t by a squaring ratio to the float range, 10 bisect log t and 80
+# close the bracket, or 1 splits t = 0 and 160 close it when the threshold is
+# below 1, plus the steps that cut |g - eps| by 4x
 MAX_SEARCH_STEPS = 200
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -107,16 +110,20 @@ class NPTestResult:
 
 
 def _sigma_basis(rho: np.ndarray, sigma: np.ndarray) -> tuple:
-    """(r, s, v, rel): rho in sigma's eigenbasis v, r = v^dag rho v, sigma's
-    ascending spectrum s, with 0 outside its support, and S(rho||sigma) as
-    relative_entropy reads it (entropy.pair_spectra).  Rejects a pair that
-    is not two states of one dimension."""
+    """(r, s, v, rel): rho in sigma's eigenbasis v, r = v^dag rho v over its
+    trace, sigma's ascending spectrum s, with 0 outside its support, and
+    S(rho||sigma) of rho as given, as relative_entropy reads it
+    (entropy.pair_spectra).  Rejects a pair that is not two states of one
+    dimension."""
     p, w, v, rel = pair_spectra(rho, sigma)
     for name, spec in (("rho", p), ("sigma", w)):
         if spec[0] < -PSD_ATOL or abs(spec.sum() - 1) > TRACE_ATOL:
             raise ValueError(f"{name} is not a state: lowest eigenvalue "
                              f"{spec[0]:.3e}, trace {spec.sum():.12g}")
+    # the trace that the state check allows off 1 exceeds the search's power
+    # tolerance, so it is divided out here, once for every search
     r = hermitian_part(v.conj().T @ rho @ v)
+    r /= np.trace(r).real
     return r, np.where(in_support(w), w, 0.0), v, float(rel)
 
 
@@ -175,10 +182,11 @@ def _slope(blocks: list[Block], split: list[tuple], t: float) -> float:
 def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
                ) -> tuple[float, float, float, list[tuple]]:
     """Neyman-Pearson minimizer over weighted blocks (m_b, rho_b, s_b), with
-    rho_b exactly Hermitian and s_b sigma_b's diagonal, whose zeros are
-    sigma's kernel; the search starts at the threshold t0.  Returns (prob,
-    threshold t, power, per-block tests Gamma_b = v_b diag(c_b) v_b^dag as
-    (v_b, c_b))."""
+    rho_b exactly Hermitian, sum_b m_b tr(rho_b) = 1, and s_b sigma_b's
+    diagonal, whose zeros are sigma's kernel; the search starts at the
+    threshold t0.  Returns (prob, threshold t, power, per-block tests
+    Gamma_b = v_b diag(c_b) v_b^dag as (v_b, c_b)) of the better feasible end
+    of the closed bracket."""
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
     # If enough of rho lives in sigma's kernel the error probability is 0.
@@ -205,14 +213,10 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
                    for (m, _, s), (v, c) in zip(blocks, tests))
         return prob, 0.0, power, tests
 
-    def reaches(split: list[tuple]) -> bool:
-        return _excess(split, eps) >= 0
-
     def candidate(t: float, split: list[tuple]):
         # rho mass above, in and below the band.  The mass that P_+ misses
-        # of eps is eps - p_plus, which does not assume that rho's masses
-        # sum to exactly 1; above eps = 1/2 it is taken through the
-        # complement, like reaches, so levels near 1 stay resolved
+        # of eps is eps - p_plus; above eps = 1/2 it is taken through the
+        # complement, like _excess, so levels near 1 stay resolved
         parts = []
         p_plus = p_zero = p_minus = 0.0
         for m, v, w, rho_v, _, band in split:
@@ -237,20 +241,23 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
     # twice
     lo, hi = 0.0, math.inf
     at_lo = at_hi = None
-    steps = 0
+    steps = -1          # the split at t0 is not a step
 
     def fail(reason: str) -> RuntimeError:
         return RuntimeError(
             f"NP threshold search failed after {steps} steps ({reason}): "
             f"t in [{lo!r}, {hi!r}], width {hi - lo!r}, eps {eps!r}")
 
-    def bisect(mid: float) -> list[tuple]:
+    def move(t: float) -> list[tuple]:
+        # t = 0, the bracket's floor, is lo whatever g(0) reads
         nonlocal lo, hi, at_lo, at_hi, steps
-        split = _split_at(blocks, mid)
-        if reaches(split):
-            lo, at_lo = mid, split
+        split = _split_at(blocks, t)
+        if t == 0 or _excess(split, eps) >= 0:
+            if t == sys.float_info.max:
+                raise fail("threshold beyond the float range")
+            lo, at_lo = t, split
         else:
-            hi, at_hi = mid, split
+            hi, at_hi = t, split
         steps += 1
         if steps > MAX_SEARCH_STEPS:
             raise fail(f"cap {MAX_SEARCH_STEPS}")
@@ -262,30 +269,19 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
     # O(log N) splits from any start; a crossing below t = 1 is bracketed
     # by [0, 1]
     t, ratio = t0, 4.0
-    while True:
-        split = _split_at(blocks, t)
-        if reaches(split):
-            if t == sys.float_info.max:
-                raise fail("threshold beyond the float range")
-            lo, at_lo = t, split
-        else:
-            hi, at_hi = t, split
-        if hi < math.inf and (lo > 0 or hi <= 1):
-            break
+    move(t)
+    while at_lo is None or hi == math.inf:
         t = (min(t * ratio, sys.float_info.max) if hi == math.inf
-             else max(t / ratio, 1.0))
+             else max(t / ratio, 1.0) if t > 1 else 0.0)
         ratio *= ratio
-        steps += 1
+        move(t)
     while lo > 0 and hi > 2 * lo:
-        bisect(math.sqrt(lo) * math.sqrt(hi))
-    # while lo = 0 its split is t = 0's, and it is solved once
-    if lo == 0:
-        at_lo = _split_at(blocks, 0.0)
+        move(math.sqrt(lo) * math.sqrt(hi))
 
     def step() -> float | None:
         """The next threshold to split, read from the splits at lo and hi,
         or None to bisect.  An eigenvector's margin scale * (w - band), whose
-        sign reaches counts, falls at the rate (1 + KERNEL_BAND) sig_v
+        sign _excess counts, falls at the rate (1 + KERNEL_BAND) sig_v
         (Hellmann-Feynman), so its Newton root is its band edge.  Where none
         leaves, the step is a Newton one on g - eps, landing a quarter of
         the stop width past the root, so that a converged root closes the
@@ -327,18 +323,17 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
         t = None if bisect_next else step()
         width = hi - lo
         near = min(abs(_excess(at_lo, eps)), abs(_excess(at_hi, eps)))
-        split = bisect(lo + (hi - lo) / 2 if t is None else t)
+        split = move(lo + (hi - lo) / 2 if t is None else t)
         # a step that neither halves the bracket nor cuts |g - eps| by 4x is
         # followed by a bisection
         bisect_next = (t is not None and hi - lo > width / 2
                        and not abs(_excess(split, eps)) < near / 4)
 
-    # t = 0, the test onto rho's support, matters only when no end gives a
-    # feasible test: when lo > 0, lo's test is feasible, and its prob is at
-    # most tr(sigma supp rho), that of t = 0, by the dual bound
+    # rho being of unit trace, lo's test is feasible up to the rounding of
+    # the blocks' masses, and t = 0's split is lo's whenever lo = 0
     found = [c for c in (candidate(hi, at_hi), candidate(lo, at_lo)) if c]
-    if not found and lo > 0:
-        found = [c for c in [candidate(0.0, _split_at(blocks, 0.0))] if c]
+    if not found:
+        raise fail("no feasible test at either end")
     return min(found, key=lambda c: c[0])
 
 

@@ -226,6 +226,8 @@ class TestCLI:
         (["product", "--trials", "2", "--config", "x.json"], "--config"),
         # one point has no rate to compare with
         (["stein", "--n-max", "1"], "n_max must be >= 2"),
+        # every rate is 0 at epsilon 1, so none tends to S(rho||sigma)
+        (["stein", "--epsilon", "1", "--n-max", "3"], "epsilon must be < 1"),
     ])
     def test_invalid_config_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -217,6 +217,22 @@ class TestSteinRateSeries:
             assert (stein_rate_series(rho, sigma, 0.5, 2).rel_entropy
                     == relative_entropy(rho, sigma))
 
+    @pytest.mark.parametrize("scale", [1 - 5e-11, 1 + 9e-11])
+    @pytest.mark.parametrize("d, n_max", [(2, 10), (3, 5)])
+    def test_trace_off_one_is_divided_out(self, d, n_max, scale):
+        # the state check accepts these traces, but rho^(x)N then misses 1
+        # by more than the search's power tolerance; no end of the bracket
+        # was feasible and the search read t = 0's test, prob near 1: 3e5x
+        # the answer at d = 3, N = 5, eps 0.1, and 356x at d = 2, N = 8
+        rho, sigma = random_density(42, d), random_density(42, d, index=1)
+        for eps in (0.1, 0.5, 0.9):
+            exact = stein_rate_series(rho, sigma, eps, n_max).rows
+            scaled = stein_rate_series(scale * rho, sigma, eps, n_max).rows
+            for (n, expected, _), (_, prob, _) in zip(exact, scaled):
+                assert rel_err(prob, expected) <= 1e-9
+                assert rel_err(prob_eps_tensor(scale * rho, sigma, eps, n),
+                               expected) <= 1e-9
+
     def test_orthogonal_pure_inf_sentinel(self):
         series = stein_rate_series(KET0, KET1, 1.0, 3)
         for _, prob, rate in series.rows:
@@ -327,6 +343,17 @@ class TestSchurWeylBlocks:
             prob_eps_tensor(rho, sigma, 0.5 ** 29, 29)
         with pytest.raises(RuntimeError, match="float range.*eps"):
             block_search(rho, sigma, 0.5 ** 29, 29)
+
+    def test_infeasible_search_raises(self):
+        # rho's blocks hold mass 1 - 2.5e-10, so neither end of the closed
+        # bracket meets eps within the power tolerance 1e-10; the search
+        # used to return t = 0's test, prob 0.9999999999999984 against 3.3e-6
+        rho, sigma = random_density(42, 3), random_density(42, 3, index=1)
+        r, s, *_ = hypotest._sigma_basis(rho, sigma)
+        blocks = hypotest._schur_weyl_blocks(r * (1 - 5e-11), s, 5)
+        with pytest.raises(RuntimeError,
+                           match=r"no feasible test at either end.*t in \["):
+            hypotest._np_search(blocks, 0.1)
 
     def test_eps_one_full_rank(self):
         # power 1 needs the identity test; the threshold is 1e-10, far below 1
