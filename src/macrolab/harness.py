@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.dim is not None and self.dim < 2:

@@ -3,15 +3,16 @@ products, partial traces, spectral splits, channels, and seeded random draws.
 
 All operators are plain complex numpy arrays.  Every function is pure; nothing
 is mutated in place.  Random draws are deterministic functions of
-(seed, tag, index) through numpy's PCG64 generator.  The streams of a stack
-of indices are built together: numpy's SeedSequence hash of the words
-[seed, tag, index] runs once over the stack in uint32 array arithmetic, and
-each PCG64 starts in the state np.random.default_rng([seed, tag, index])
-would give it.  Each stream then fills its Gaussians, real block before
-imaginary, with one standard_normal call.  In a stack of 1000 a stream costs
-about 1.4 us to build, against 11 us for a default_rng, and a whole 4 x 4
-density draw about 3.6 us per stream; one index costs about 43 us to build
-and 60 us to draw (2-core Xeon VM, numpy 2.4).
+(seed, tag, index): each PCG64 starts in the state
+np.random.default_rng([seed, tag, index]) would give it.  Every stack the
+library draws (seed and tag below 2^32, a fixed-width array of indices) is
+hashed at once, numpy's SeedSequence hash running over it in uint32 array
+arithmetic; SeedSequence itself builds any other stack.  Each stream fills
+its Gaussians, real block before imaginary, with one standard_normal call.
+In a stack of 1000 a hashed stream costs about 1.4 us to build (11 us for a
+default_rng) and a 4 x 4 density draw 3.5 us per stream; at seed 2^32 these
+are 12 and 14 us.  One index costs about 39 us to build and 56 us to draw
+(2-core Xeon VM, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -158,15 +159,14 @@ def partial_trace(rho_ab: np.ndarray, dims: tuple[int, int],
 # The streams of a stack are built from numpy's SeedSequence hash
 # (numpy/random/bit_generator.pyx), run on uint32 words for all indices at
 # once.  Its call k of hashmix xors its value with INIT_A * MULT_A^k and
-# multiplies it by INIT_A * MULT_A^(k + 1); calls 0-3 hash the first four
-# entropy words into the pool, calls 4-15 mix the pool with itself, and
-# every further word takes four more.  State word i hashes pool word i % 4
-# the same way with INIT_B and MULT_B.  No constant depends on the data.
+# multiplies it by INIT_A * MULT_A^(k + 1); calls 0-3 hash the four entropy
+# words into the pool and calls 4-15 mix the pool with itself.  State word
+# i hashes pool word i % 4 the same way with INIT_B and MULT_B.  No
+# constant depends on the data.
 _MASK32 = 0xFFFFFFFF
 _POOL = 4
 _XSHIFT = np.uint32(16)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MULT_A = 0x931E8875
 
 
 def _powers(init: int, mult: int, n: int) -> np.ndarray:
@@ -189,9 +189,8 @@ def _self_mix_rounds(hash_a: np.ndarray) -> list:
     return rounds
 
 
-_HASH_A = _powers(0x43B0D7E5, _MULT_A, 21)
+_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 17)
 _SELF_MIX = _self_mix_rounds(_HASH_A)
-_STEP_A = np.uint32(pow(_MULT_A, _POOL, 1 << 32))
 _HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 9)
 # the eight state words, as two cycles through the pool
 _STATE_XOR = _HASH_B[:8].reshape(2, _POOL)
@@ -209,61 +208,37 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ out >> _XSHIFT
 
 
-def _int_words(n) -> list[int]:
-    """n as SeedSequence reads an int: little-endian uint32 words, the one
-    word 0 for 0.  Like SeedSequence, refuses floats, even integral ones."""
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError("seed must be integer")
-    n = int(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _entropy_words(seed: int, tag: int,
-                   indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(words (k, w), counts (k,)): the words of [seed, tag, indices[j]],
-    zero-padded to w >= 4, and how many there are."""
-    head = _int_words(seed) + _int_words(tag)
-    idx = np.asarray(indices)
-    if idx.dtype.kind in "iu":      # fixed width: one or two words each
-        if idx.min(initial=0) < 0:
-            raise ValueError("expected non-negative integer")
-        idx = idx.astype(np.uint64)
-        words = np.zeros((len(idx), max(_POOL, len(head) + 2)),
-                         dtype=np.uint32)
-        words[:, :len(head)] = head
-        words[:, len(head)] = idx & _MASK32
-        words[:, len(head) + 1] = hi = idx >> np.uint64(32)
-        return words, len(head) + 1 + (hi > 0)
-    rows = [head + _int_words(index) for index in indices]
-    width = max([_POOL, *map(len, rows)])
-    words = np.array([r + [0] * (width - len(r)) for r in rows],
-                     dtype=np.uint32).reshape(len(rows), width)
-    return words, np.array([len(r) for r in rows], dtype=int)
+def _one_word(n) -> bool:
+    """Whether SeedSequence reads n as the one uint32 word n."""
+    return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and 0 <= n <= _MASK32)
 
 
 def _stream_states(seed: int, tag: int,
                    indices: Sequence[int]) -> np.ndarray:
     """(k, 4) uint64: row j is
-    SeedSequence([seed, tag, indices[j]]).generate_state(4, np.uint64)."""
-    words, counts = _entropy_words(seed, tag, indices)
-    pool = _hashmix(words[:, :_POOL], _HASH_A[:4], _HASH_A[1:5])
+    SeedSequence([seed, tag, indices[j]]).generate_state(4, np.uint64).
+
+    A one-word seed and tag with a fixed-width array of non-negative indices,
+    every stack the library draws, is hashed at once on the words
+    [seed, tag, index & 0xFFFFFFFF, index >> 32], as SeedSequence pads a
+    three-word row with 0.  SeedSequence itself builds any other stack, and
+    makes every refusal."""
+    idx = np.asarray(indices)
+    if not (_one_word(seed) and _one_word(tag) and idx.dtype.kind in "iu"
+            and idx.min(initial=0) >= 0):
+        return np.array([np.random.SeedSequence([seed, tag, i])
+                         .generate_state(4, np.uint64) for i in indices],
+                        dtype=np.uint64).reshape(-1, 4)
+    idx = idx.astype(np.uint64)
+    words = np.empty((len(idx), _POOL), dtype=np.uint32)
+    words[:, 0], words[:, 1] = seed, tag
+    words[:, 2], words[:, 3] = idx & _MASK32, idx >> np.uint64(32)
+    pool = _hashmix(words, _HASH_A[:4], _HASH_A[1:5])
     for src, xor, mult in _SELF_MIX:
         mixed = _mix(pool, _hashmix(pool[:, src, None], xor, mult))
         mixed[:, src] = pool[:, src]
         pool = mixed
-    # a word beyond the pool mixes into every pool word, in rows that have it
-    consts = _HASH_A[16:21]
-    for i in range(_POOL, words.shape[1]):
-        mixed = _mix(pool, _hashmix(words[:, i, None], consts[:4],
-                                    consts[1:]))
-        pool = np.where((counts > i)[:, None], mixed, pool)
-        consts = consts * _STEP_A
     state = _hashmix(pool[:, None], _STATE_XOR, _STATE_MULT)
     # as generate_state: little-endian word pairs, then native uint64
     return (state.reshape(-1, 8).astype("<u4", order="C").view("<u8")
@@ -283,7 +258,7 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 def _streams(seed: int, tag: int,
              indices: Sequence[int]) -> list[np.random.Generator]:
     """The generators default_rng([seed, tag, index]) for index in indices,
-    state for state, from one vectorized SeedSequence hash."""
+    state for state, from the words _stream_states builds."""
     return [np.random.Generator(np.random.PCG64(_StateWords(words)))
             for words in _stream_states(seed, tag, indices)]
 

@@ -235,15 +235,22 @@ def classical_np_oracle(p, q, eps):
 
 
 def type_class_oracle(p, q, n, eps):
-    """Exact NP on n copies of diag(p) against diag(q).
+    """Exact NP on n copies of diag(p) against diag(q), in rational
+    arithmetic.
 
-    p and q are the d outcome probabilities; a scalar stands for the qubit
-    diag(p, 1-p).  The C(n+d-1, d-1) type classes (k_a copies of outcome a)
-    share one likelihood ratio each, so the classical test runs on their
-    masses.
+    p and q are the d outcome probabilities, scaled to sum to exactly 1; a
+    scalar stands for the qubit diag(p, 1-p).  The C(n+d-1, d-1) type
+    classes (k_a copies of outcome a) share one likelihood ratio each, so the
+    classical test runs on their masses.  Near eps = 1 the answer moves by
+    q/p of the crossing class times any error in rho's mass: 4.3e7 times for
+    diag(0.9, 0.1) against diag(0.1, 0.9) at N = 20.  Float sums do not
+    resolve that, nor do the floats 0.9 and 0.1, which sum to 1 + 2.8e-17.
     """
-    p = (p, 1 - p) if np.isscalar(p) else tuple(p)
-    q = (q, 1 - q) if np.isscalar(q) else tuple(q)
+    exact = []
+    for v in (p, q):
+        v = [Fraction(x) for x in ((v, 1 - v) if np.isscalar(v) else v)]
+        exact.append(tuple(x / sum(v) for x in v))
+    p, q = exact
 
     def mass(probs, counts):
         out = math.factorial(n)
@@ -255,21 +262,9 @@ def type_class_oracle(p, q, n, eps):
 
     types = [k for k in itertools.product(range(n + 1), repeat=len(p))
              if sum(k) == n]
-    return classical_np_oracle([mass(p, k) for k in types],
-                               [mass(q, k) for k in types], eps)
-
-
-def exact_type_class_oracle(p, q, n, eps):
-    """type_class_oracle in rational arithmetic, with p and q scaled to sum
-    to exactly 1.  Near eps = 1 the answer moves by q/p of the crossing class
-    times any error in rho's mass: 4.3e7 times for diag(0.9, 0.1) against
-    diag(0.1, 0.9) at N = 20.  Float sums do not resolve that, nor do the
-    floats 0.9 and 0.1, which sum to 1 + 2.8e-17."""
-    exact = []
-    for v in (p, q):
-        v = [Fraction(x) for x in ((v, 1 - v) if np.isscalar(v) else v)]
-        exact.append(tuple(x / sum(v) for x in v))
-    return float(type_class_oracle(*exact, n, Fraction(eps)))
+    return float(classical_np_oracle([mass(p, k) for k in types],
+                                     [mass(q, k) for k in types],
+                                     Fraction(eps)))
 
 
 def sampled_gamma_bound(rho: np.ndarray, sigma: np.ndarray, eps: float,

@@ -15,8 +15,8 @@ from macrolab.hypotest import (np_optimal_test, prob_eps_tensor,
 from macrolab.operators import (LOG_SUPPORT_RTOL, apply_channels, eig,
                                 hermitian_part, random_density, random_kraus,
                                 random_unitary, tensor_power)
-from oracles import (classical_np_oracle, exact_type_class_oracle,
-                     sampled_gamma_bound, type_class_oracle, von_neumann)
+from oracles import (classical_np_oracle, sampled_gamma_bound,
+                     type_class_oracle, von_neumann)
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -636,7 +636,7 @@ class TestTypeClasses:
         # missing rho mass is below its 1e-10 power tolerance
         rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
         assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
-                       exact_type_class_oracle(p, q, n, eps)) <= 1e-9
+                       type_class_oracle(p, q, n, eps)) <= 1e-9
 
     @pytest.mark.parametrize("q, n", [(10 ** -11.5 / 2, 9), (1e-6, 41)])
     def test_eps_at_a_likelihood_ratio_step(self, q, n):
@@ -645,7 +645,7 @@ class TestTypeClasses:
         # is 1e11 or 1e6 times larger, read 3.7e-3 and 4.5e-8 relative off
         rho, sigma = diag_pair(0.5, q)
         assert rel_err(prob_eps_tensor(rho, sigma, 0.5, n),
-                       exact_type_class_oracle(0.5, q, n, 0.5)) <= 1e-9
+                       type_class_oracle(0.5, q, n, 0.5)) <= 1e-9
 
     def test_eps_one_takes_every_class(self):
         # the all-second class of 16 copies has rho mass 1e-400, which
@@ -721,8 +721,13 @@ class TestEpsOne:
         rho, sigma = (u @ a @ u.conj().T for a in (D91, D19))
         assert hypotest._sigma_basis(rho, sigma)[0][0, 1] != 0
         assert rel_err(prob_eps_tensor(rho, sigma, 1.0, 20),
-                       exact_type_class_oracle((0.9, 0.1), (0.1, 0.9), 20,
-                                               1.0)) <= 1e-12
+                       type_class_oracle((0.9, 0.1), (0.1, 0.9), 20,
+                                         1.0)) <= 1e-12
+
+    def test_type_class_oracle_takes_every_class(self):
+        # the float masses of diag(0.9, 0.1) sum above 1, and a float oracle
+        # read 0.316 here, stopping before the last classes
+        assert type_class_oracle((0.9, 0.1), (0.1, 0.9), 20, 1.0) == 1
 
     def test_block_search_applies_the_rule_to_its_operator(self):
         # the search itself applies the support rule to the operator it is
@@ -733,5 +738,5 @@ class TestEpsOne:
                        for k in range(8, 21))
         assert rel_err(block_search(D91, D19, 1.0, 20)[0], expected) <= 1e-9
         assert rel_err(block_search(D91, D19, 1.0, 12)[0],
-                       exact_type_class_oracle((0.9, 0.1), (0.1, 0.9), 12,
-                                               1.0)) <= 1e-12
+                       type_class_oracle((0.9, 0.1), (0.1, 0.9), 12,
+                                         1.0)) <= 1e-12
