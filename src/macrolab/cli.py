@@ -12,6 +12,7 @@ Exit code 0 iff every named check passes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import EXPERIMENTS, ExperimentConfig, csv_lines, run_experiment, \
@@ -60,6 +61,9 @@ def main(argv: list[str] | None = None) -> int:
         config = config_from_args(args)
     except ValueError as exc:     # an invalid config is a usage error
         parser.error(str(exc))
+    if args.out and (os.path.isdir(args.out) or      # fail before the run
+                     not os.path.isdir(os.path.dirname(args.out) or ".")):
+        parser.error(f"--out {args.out}: not a file in an existing directory")
     result = run_experiment(config)
     if args.out:
         write_csv(result, args.out)

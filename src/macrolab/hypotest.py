@@ -62,18 +62,18 @@ per factor 4 by which min |g - eps| over the ends falls, which the float
 spacing of g - eps bounds to about 27 at eps = 1/2 and more as eps nears 1;
 in practice a search splits about 10 thresholds.  t = 0, the test onto
 rho's support, is split only while lo = 0.  One move splits each threshold,
-moves lo or hi and counts the step.  The search returns the better feasible
-test at lo and hi, and raises RuntimeError, naming the bracket, when neither
-is feasible.  At eps = 1 the search returns that support test, each rho_b
-projected onto its eigenvalues above LOG_SUPPORT_RTOL of the largest over
-all blocks; N copies decide that support on one copy (_n_copy_prob).  An
-eigenvector v of rho_b - t sigma_b is in the near-kernel band when its
-eigenvalue lies within KERNEL_BAND * <v|rho_b + t sigma_b|v> of 0, so that
-its likelihood ratio is within about 2 * KERNEL_BAND of t, or within
-RESIDUAL_MARGIN times its eigenpair residual, where the eigensolve cannot
-tell the sign.  Both bounds scale with the data; there is no absolute band.
-After MAX_SEARCH_STEPS steps, or when the threshold exceeds the float range,
-the search raises RuntimeError as well.
+summing g - eps as it goes, moves lo or hi and counts the step.  The search
+returns the better feasible test at lo and hi, and raises RuntimeError,
+naming the bracket, when neither is feasible.  At eps = 1 it takes one
+block and returns that support test, by in_support; N copies take its prob
+to the N-th power (_n_copy_prob).  An eigenvector v of rho_b - t sigma_b
+is in the near-kernel band when its eigenvalue lies within KERNEL_BAND *
+<v|rho_b + t sigma_b|v> of 0, so that its likelihood ratio is within about
+2 * KERNEL_BAND of t, or within RESIDUAL_MARGIN times its eigenpair
+residual, where the eigensolve cannot tell the sign.  Both bounds scale
+with the data; there is no absolute band.  After MAX_SEARCH_STEPS steps, or
+when the threshold exceeds the float range, the search raises RuntimeError
+as well.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import pair_spectra
-from .operators import (LOG_SUPPORT_RTOL, PSD_ATOL, TRACE_ATOL, eig,
-                        hermitian_part, in_support, kron)
+from .operators import (PSD_ATOL, TRACE_ATOL, eig, hermitian_part,
+                        in_support, kron)
 
 KERNEL_BAND = 1e-10    # relative to <v|rho_b + t sigma_b|v>
 RESIDUAL_MARGIN = 10   # times the eigenpair residual
@@ -127,13 +127,17 @@ def _sigma_basis(rho: np.ndarray, sigma: np.ndarray) -> tuple:
     return r, np.where(in_support(w), w, 0.0), v, float(rel)
 
 
-def _split_at(blocks: list[Block], t: float) -> list[tuple]:
-    """Per block: m_b, the eigenvectors v and eigenvalues w of
-    h = (rho_b - t sigma_b) / max(1, t), the overlaps rho_v = <v|rho_b|v> and
-    sig_v = <v|sigma_b|v>, and the band of each eigenvalue.  Dividing by
-    max(1, t) keeps h in the float range whatever t is."""
+def _split_at(blocks: list[Block], t: float,
+              eps: float) -> tuple[list[tuple], float]:
+    """(split, g(t) - eps).  Per block, the split holds m_b, the eigenvectors
+    v and eigenvalues w of h = (rho_b - t sigma_b) / max(1, t), in the float
+    range whatever t is, the overlaps rho_v = <v|rho_b|v> and sig_v =
+    <v|sigma_b|v>, and each eigenvalue's band.  g(t) = sum_b m_b tr(rho_b
+    P_+), P_+ onto the eigenvalues above their band; g - eps is (1 - eps) -
+    (1 - g), 1 - g a sum of small overlaps, so levels near 1 stay resolved."""
     scale = max(1.0, t)
     split = []
+    missing = 0.0
     for m, r, s in blocks:
         h = r / scale      # sigma_b is diagonal: t moves h's diagonal only
         h.flat[::len(s) + 1] -= t / scale * s
@@ -146,27 +150,16 @@ def _split_at(blocks: list[Block], t: float) -> list[tuple]:
         # <v|rho_b + t sigma_b|v> / scale = 2 rho_v / scale - w
         band = (KERNEL_BAND * (2 * rho_v / scale - w)
                 + RESIDUAL_MARGIN * residual)
+        missing += m * float(rho_v[w <= band].sum())
         split.append((m, v, w, rho_v, sig_v, band))
-    return split
-
-
-def _excess(split: list[tuple], eps: float) -> float:
-    """g(t) - eps, g(t) = sum_b m_b tr(rho_b P_+(rho_b - t sigma_b)), where
-    P_+ takes the eigenvalues above their band.
-
-    Taken as (1 - eps) - (1 - g(t)), the complement a sum of small
-    nonnegative overlaps, so levels near 1 are resolved without
-    cancellation.
-    """
-    return (1.0 - eps) - sum(m * float(rho_v[w <= band].sum())
-                             for m, _, w, rho_v, _, band in split)
+    return split, (1.0 - eps) - missing
 
 
 def _slope(blocks: list[Block], split: list[tuple], t: float) -> float:
     """g'(t) = -2t sum_b m_b sum_(i in P, j not in P) |<v_i|sigma_b|v_j>|^2
     / (lam_i - lam_j), first-order perturbation of P_+ with rho_b's
     off-diagonal overlaps <v_j|rho_b|v_i> = t <v_j|sigma_b|v_i>; lam are the
-    eigenvalues of rho_b - t sigma_b and P the positive set of _excess."""
+    eigenvalues of rho_b - t sigma_b and P the positive set of _split_at."""
     scale = max(1.0, t)
     total = 0.0
     for (m, _, s), (_, v, w, _, _, band) in zip(blocks, split):
@@ -189,6 +182,8 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
     of the closed bracket."""
     if not 0 < eps <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
+    if eps == 1 and len(blocks) > 1:
+        raise ValueError(f"epsilon 1 takes one block, got {len(blocks)}")
     # If enough of rho lives in sigma's kernel the error probability is 0.
     kers = [s == 0 for _, _, s in blocks]
     p_ker = sum(m * float(np.diag(r).real[k].sum())
@@ -200,23 +195,17 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
                     for (m, r, _), (_, c) in zip(blocks, tests))
         return 0.0, math.inf, power, tests
     if eps == 1:
-        # the optimum projects each rho_b onto its support, by the support
-        # rule relative to the largest eigenvalue over all blocks
-        spectra = [eig(r) for _, r, _ in blocks]
-        top = max(w[-1] for w, _ in spectra)
-        tests = [(v, (w > LOG_SUPPORT_RTOL * top).astype(float))
-                 for w, v in spectra]
-        power = sum(m * float(c @ w)
-                    for (m, _, _), (w, _), (_, c) in zip(blocks, spectra,
-                                                          tests))
-        prob = sum(m * float(c @ (s @ (v * v.conj()).real))
-                   for (m, _, s), (v, c) in zip(blocks, tests))
-        return prob, 0.0, power, tests
+        # the optimum projects rho onto its support
+        ((m, r, s),) = blocks
+        w, v = eig(r)
+        c = in_support(w).astype(float)
+        return (m * float(c @ (s @ (v * v.conj()).real)), 0.0,
+                m * float(c @ w), [(v, c)])
 
     def candidate(t: float, split: list[tuple]):
         # rho mass above, in and below the band.  The mass that P_+ misses
         # of eps is eps - p_plus; above eps = 1/2 it is taken through the
-        # complement, like _excess, so levels near 1 stay resolved
+        # complement, like g - eps in _split_at, so levels near 1 stay resolved
         parts = []
         p_plus = p_zero = p_minus = 0.0
         for m, v, w, rho_v, _, band in split:
@@ -237,10 +226,10 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
                    for (m, _, _, _, sig_v, _), (_, cb) in zip(split, tests))
         return None if power < eps - 1e-10 else (prob, t, power, tests)
 
-    # the splits at lo and hi, None until one is made; no threshold is solved
-    # twice
+    # the splits at lo and hi, None until one is made, and g - eps there; no
+    # threshold is solved twice
     lo, hi = 0.0, math.inf
-    at_lo = at_hi = None
+    at_lo = at_hi = f_lo = f_hi = None
     steps = -1          # the split at t0 is not a step
 
     def fail(reason: str) -> RuntimeError:
@@ -248,20 +237,20 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
             f"NP threshold search failed after {steps} steps ({reason}): "
             f"t in [{lo!r}, {hi!r}], width {hi - lo!r}, eps {eps!r}")
 
-    def move(t: float) -> list[tuple]:
+    def move(t: float) -> float:
         # t = 0, the bracket's floor, is lo whatever g(0) reads
-        nonlocal lo, hi, at_lo, at_hi, steps
-        split = _split_at(blocks, t)
-        if t == 0 or _excess(split, eps) >= 0:
+        nonlocal lo, hi, at_lo, at_hi, f_lo, f_hi, steps
+        split, f = _split_at(blocks, t, eps)
+        if t == 0 or f >= 0:
             if t == sys.float_info.max:
                 raise fail("threshold beyond the float range")
-            lo, at_lo = t, split
+            lo, at_lo, f_lo = t, split, f
         else:
-            hi, at_hi = t, split
+            hi, at_hi, f_hi = t, split, f
         steps += 1
         if steps > MAX_SEARCH_STEPS:
             raise fail(f"cap {MAX_SEARCH_STEPS}")
-        return split
+        return f
 
     # bracket the crossing of g(t) with eps from t0, multiplying or dividing
     # t by a ratio that squares each time (4, 16, 256, ...), which doubles
@@ -281,7 +270,7 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
     def step() -> float | None:
         """The next threshold to split, read from the splits at lo and hi,
         or None to bisect.  An eigenvector's margin scale * (w - band), whose
-        sign _excess counts, falls at the rate (1 + KERNEL_BAND) sig_v
+        sign decides its term of g, falls at the rate (1 + KERNEL_BAND) sig_v
         (Hellmann-Feynman), so its Newton root is its band edge.  Where none
         leaves, the step is a Newton one on g - eps, landing a quarter of
         the stop width past the root, so that a converged root closes the
@@ -303,7 +292,6 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
             # half the stop width past it closes the bracket
             tol = BISECT_WIDTH / 2 * hi
             return min(max(float(roots[len(roots) // 2]), lo + tol), hi - tol)
-        f_lo, f_hi = _excess(at_lo, eps), _excess(at_hi, eps)
         past = BISECT_WIDTH / 4 * hi
         t, f, split = ((lo, f_lo, at_lo) if f_lo <= -f_hi
                        else (hi, f_hi, at_hi))
@@ -322,12 +310,12 @@ def _np_search(blocks: list[Block], eps: float, t0: float = 1.0
     while hi > BISECT_WIDTH and hi - lo > BISECT_WIDTH * hi:
         t = None if bisect_next else step()
         width = hi - lo
-        near = min(abs(_excess(at_lo, eps)), abs(_excess(at_hi, eps)))
-        split = move(lo + (hi - lo) / 2 if t is None else t)
+        near = min(abs(f_lo), abs(f_hi))
+        f = move(lo + (hi - lo) / 2 if t is None else t)
         # a step that neither halves the bracket nor cuts |g - eps| by 4x is
         # followed by a bisection
         bisect_next = (t is not None and hi - lo > width / 2
-                       and not abs(_excess(split, eps)) < near / 4)
+                       and not abs(f) < near / 4)
 
     # rho being of unit trace, lo's test is feasible up to the rounding of
     # the blocks' masses, and t = 0's split is lo's whenever lo = 0
@@ -509,12 +497,11 @@ def _type_class_prob(p: np.ndarray, q: np.ndarray, n: int,
     the crossing class with a fractional weight.  That class carries eps
     less the mass above it, or above eps = 1/2 the mass from it down less
     1 - eps, so levels near 1 stay resolved, and nothing when this is within
-    the rounding of the masses.  At eps = 1 every class is taken, also those
-    whose mass underflows.  Prob is summed in logs and refused below the
-    float range.
+    the rounding of the masses.  Prob is summed in logs and refused below
+    the float range.  eps = 1 is not taken here (_n_copy_prob).
     """
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
+    if not 0 < eps < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     keep = p > 0      # a class with a copy of another outcome has no rho mass
     p, q = p[keep], q[keep]
     d = len(p)
@@ -532,7 +519,7 @@ def _type_class_prob(p: np.ndarray, q: np.ndarray, n: int,
         missing = eps - (above[j - 1] if j else 0.0)
     else:
         below = np.append(np.cumsum(mass[::-1])[::-1][1:], 0.0)
-        j = len(mass) - 1 if eps == 1 else int(np.argmax(below <= 1 - eps))
+        j = int(np.argmax(below <= 1 - eps))
         missing = below[j] + mass[j] - (1 - eps)
     # each log mass sums terms up to ln n! + n max |ln p_a| and carries a few
     # ulp of that, and the cumulative sum one rounding per class.  A missing
@@ -564,15 +551,14 @@ def _n_copy_prob(r: np.ndarray, s: np.ndarray, rel: float, n: int,
     blocks, built from images (_schur_weyl_blocks), with the search started
     at the Stein threshold exp(n rel), or at 1 where that is not finite.
 
-    At eps = 1 the optimum projects rho^(x)n onto its support, which is
-    supp(rho)^(x)n when decided on one copy, as sigma's kernel is, so prob
-    is the one-copy answer to the n-th power; on the blocks, the support
-    rule relative to their largest eigenvalue would drop true eigenvalues
-    of a spectrum graded over more than 12 decades."""
-    if not np.any(r[~np.eye(len(r), dtype=bool)]):
-        return _type_class_prob(np.diag(r).real, s, n, eps)
+    At eps = 1 prob is the one-copy answer to the n-th power, commuting or
+    not: the optimum projects onto supp(rho)^(x)n, decided on one copy as
+    sigma's kernel is, since a rule relative to rho^(x)n's top eigenvalue
+    would drop true ones of a spectrum graded over more than 12 decades."""
     if eps == 1:
         return _np_search([(1.0, r, s)], eps)[0] ** n
+    if not np.any(r[~np.eye(len(r), dtype=bool)]):
+        return _type_class_prob(np.diag(r).real, s, n, eps)
     t0 = math.exp(n * rel) if n * rel < _LOG_FLOAT_MAX else 1.0
     return _np_search(_schur_weyl_blocks(r, s, n, images), eps,
                       max(t0, 1.0))[0]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden.record import CONFIGS
 from macrolab.cli import build_parser, config_from_args, main
 from macrolab.coarsegrain import canonical_coarse_grain
 from macrolab.entropy import relative_entropy
@@ -243,6 +244,12 @@ class TestCLI:
         (["stein", "--epsilon", "1", "--n-max", "3"], "epsilon must be < 1"),
         # a stream is fixed by non-negative words
         (["process", "--seed", "-1", "--trials", "2"], "seed must be >= 0"),
+        # an --out that cannot be written, refused before the run
+        (["lindblad", "--trials", "2", "--out",
+          str(Path(__file__).parent / "no-such-dir" / "x.csv")],
+         "not a file in an existing directory"),
+        (["lindblad", "--trials", "2", "--out", str(Path(__file__).parent)],
+         "not a file in an existing directory"),
     ])
     def test_invalid_config_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -253,12 +260,16 @@ class TestCLI:
         assert "Traceback" not in err
 
     def test_sweeps_script_flags_are_read(self):
+        # the script CI runs, the goldens and the acceptance gate share one
+        # set of settings
         script = Path(__file__).resolve().parents[1] / "scripts/run_sweeps.sh"
         configs = [config_from_args(build_parser().parse_args(
                        shlex.split(line)[1:]))
                    for line in script.read_text().splitlines()
                    if line.startswith("macrolab ")]
         assert [c.experiment for c in configs] == list(EXPERIMENTS)
+        assert configs == [ExperimentConfig(experiment=name, **kwargs)
+                           for name, kwargs in CONFIGS.items()]
 
     def test_stein_script_rates_are_the_cli_rates(self, monkeypatch, capsys):
         path = (Path(__file__).resolve().parents[1]

@@ -359,7 +359,6 @@ class TestSchurWeylBlocks:
         # power 1 needs the identity test; the threshold is 1e-10, far below 1
         rho = np.diag([0.005, 0.995]).astype(complex)
         assert abs(prob_eps_tensor(rho, UNIF, 1.0, 5) - 1.0) < 1e-12
-        assert abs(block_search(rho, UNIF, 1.0, 5)[0] - 1.0) < 1e-12
 
     def test_equal_states_n50(self):
         rho = random_density(5, 2)
@@ -536,15 +535,15 @@ class TestSearchSteps:
         rho, sigma = random_density(42, 3), random_density(42, 3, index=1)
         r, s, *_ = hypotest._sigma_basis(rho, sigma)
         blocks = hypotest._schur_weyl_blocks(r, s, 3)
-        splits = {x: hypotest._split_at(blocks, x)
+        splits = {x: hypotest._split_at(blocks, x, 0.0)
                   for x in t * (1 + np.array([-1e-3, -5e-4, 0, 5e-4, 1e-3]))}
         assert len({tuple(np.concatenate([w > band
                                           for *_, w, _, _, band in split]))
-                    for split in splits.values()}) == 1
-        g = [hypotest._excess(split, 0.0) for split in splits.values()]
+                    for split, _ in splits.values()}) == 1
+        g = [f for _, f in splits.values()]
         wide = (g[4] - g[0]) / (2e-3 * t)
         narrow = (g[3] - g[1]) / (1e-3 * t)
-        slope = hypotest._slope(blocks, splits[t], t)
+        slope = hypotest._slope(blocks, splits[t][0], t)
         assert slope < 0
         assert rel_err((4 * narrow - wide) / 3, slope) <= 1e-10
 
@@ -647,11 +646,19 @@ class TestTypeClasses:
         assert rel_err(prob_eps_tensor(rho, sigma, 0.5, n),
                        type_class_oracle(0.5, q, n, 0.5)) <= 1e-9
 
-    def test_eps_one_takes_every_class(self):
-        # the all-second class of 16 copies has rho mass 1e-400, which
-        # underflows to 0, and sigma mass 2^-16; taking every class gives 1
-        rho = np.diag([1.0, 1e-25]).astype(complex)
-        assert abs(prob_eps_tensor(rho, UNIF, 1.0, 16) - 1.0) <= 1e-9
+    @pytest.mark.parametrize("delta", [1e-25, 1e-14])
+    def test_eps_one_reads_the_same_on_every_path(self, delta):
+        # rho's second eigenvalue is below the support cutoff, so the support
+        # test is |0><0| on one copy; the type classes took every class with
+        # p > 0 and read 1.0, the rotated pair 0.5^n
+        rho = np.diag([1 - delta, delta]).astype(complex)
+        u = random_unitary(4, 2)
+        one_copy = np_optimal_test(rho, UNIF, 1.0).prob
+        for n in (1, 3, 16):
+            for prob in (prob_eps_tensor(rho, UNIF, 1.0, n),
+                         prob_eps_tensor(u @ rho @ u.conj().T,
+                                         u @ UNIF @ u.conj().T, 1.0, n)):
+                assert rel_err(prob, one_copy ** n) <= 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_table_matches_combinations(self, d):
@@ -729,14 +736,9 @@ class TestEpsOne:
         # read 0.316 here, stopping before the last classes
         assert type_class_oracle((0.9, 0.1), (0.1, 0.9), 20, 1.0) == 1
 
-    def test_block_search_applies_the_rule_to_its_operator(self):
-        # the search itself applies the support rule to the operator it is
-        # given, here rho^(x)20, as np_optimal_test does to a dense one: a
-        # class with k first outcomes is support when 9^(k - 20) > 1e-12,
-        # k >= 8; it read 0.608 when it stopped where the bracket did
-        expected = sum(math.comb(20, k) * 0.1 ** k * 0.9 ** (20 - k)
-                       for k in range(8, 21))
-        assert rel_err(block_search(D91, D19, 1.0, 20)[0], expected) <= 1e-9
-        assert rel_err(block_search(D91, D19, 1.0, 12)[0],
-                       type_class_oracle((0.9, 0.1), (0.1, 0.9), 12,
-                                         1.0)) <= 1e-12
+    def test_search_refuses_blocks(self):
+        # N copies take the one-copy support test to the N-th power; a
+        # support decided over blocks would differ from it
+        r, s, *_ = hypotest._sigma_basis(D91, D19)
+        with pytest.raises(ValueError, match="one block, got 2"):
+            hypotest._np_search(hypotest._schur_weyl_blocks(r, s, 2), 1.0)
