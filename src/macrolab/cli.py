@@ -6,7 +6,8 @@
 A setting whose flag is not given takes its ExperimentConfig default; a flag
 the experiment does not read (harness.EXPERIMENTS) is a usage error.
 --summary prints each named hard check with its worst value and bound.
-Exit code 0 iff every named check passes.
+Exit code 0 iff every named check passes, 1 when one fails, 2 on a usage
+error and 3 when the run raises ValueError or RuntimeError at valid flags.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.out and (os.path.isdir(args.out) or      # fail before the run
                      not os.path.isdir(os.path.dirname(args.out) or ".")):
         parser.error(f"--out {args.out}: not a file in an existing directory")
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except (ValueError, RuntimeError) as exc:
+        print(f"macrolab: {args.experiment}: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         write_csv(result, args.out)
     else:

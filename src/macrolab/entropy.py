@@ -5,7 +5,8 @@ relative_entropy takes one pair of d x d operators or two stacks
 stack otherwise; element i of a stack is the value of pair i alone.  It
 returns math.inf when supp(rho) is not contained in supp(sigma); report
 writers serialize that sentinel as the string "inf".  pair_spectra returns
-the same value with the spectra it is read from, for the Neyman-Pearson search.
+the same value with the spectra it is read from, for the Neyman-Pearson
+search; it refuses a non-PSD member of a pair for every caller.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ def pair_spectra(rho: np.ndarray, sigma: np.ndarray) -> tuple:
     eigenvector, the kernel leak is sum p_j over the kernel and
     tr(rho ln sigma) = sum p_j ln w_j over the support; tr(rho ln rho) is
     sum r ln r over rho's spectrum on its support.  rel is inf where the
-    leak exceeds SUPPORT_LEAK_TOL.  Validates shapes and Hermiticity only.
+    leak exceeds SUPPORT_LEAK_TOL.  Rejects a shape mismatch, non-Hermitian
+    input, and then an eigenvalue of rho, then of sigma, below -PSD_ATOL,
+    reported for the first such pair of a stack, whether or not rho leaks.
     """
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
@@ -36,6 +39,12 @@ def pair_spectra(rho: np.ndarray, sigma: np.ndarray) -> tuple:
     check_hermitian(sigma)
     r = np.linalg.eigvalsh(rho)
     w, v = eig(sigma)
+    low = np.stack([r[..., 0], w[..., 0]], axis=-1).reshape(-1, 2)
+    bad = np.argwhere(low < -PSD_ATOL)     # pair by pair, rho before sigma
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"non-PSD {('rho', 'sigma')[j]} is not a state: "
+                         f"lowest eigenvalue {low[i, j]:.3e}")
     support = in_support(w)
     p = np.sum(v.conj() * (rho @ v), axis=-2).real
     leak = np.sum(np.where(support, 0.0, p), axis=-1) > SUPPORT_LEAK_TOL
@@ -47,17 +56,7 @@ def pair_spectra(rho: np.ndarray, sigma: np.ndarray) -> tuple:
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray):
-    """tr(rho ln rho - rho ln sigma); math.inf on support violation.
-
-    The value of pair_spectra.  Where it is finite, an eigenvalue of rho,
-    then of sigma, below -PSD_ATOL is an error, reported for the first such
-    pair of a stack.  Rejects non-Hermitian input.
-    """
-    r, w, _, rel = pair_spectra(rho, sigma)
-    bad = np.isfinite(rel) & ((r[..., 0] < -PSD_ATOL)
-                              | (w[..., 0] < -PSD_ATOL))
-    if np.any(bad):
-        i = np.unravel_index(np.argmax(bad), bad.shape)
-        low = r[i][0] if r[i][0] < -PSD_ATOL else w[i][0]
-        raise ValueError(f"log of a non-PSD operator (eigenvalue {low:.3e})")
+    """tr(rho ln rho - rho ln sigma); math.inf on support violation.  The
+    value of pair_spectra, which rejects an invalid pair."""
+    rel = pair_spectra(rho, sigma)[3]
     return float(rel) if rel.ndim == 0 else rel

@@ -43,7 +43,7 @@ SLACK_TOL = 1e-9    # an entropy difference passes at >= -SLACK_TOL
 class ExperimentConfig:
     experiment: str
     dim: int | None = None
-    dims: tuple[int, int] | None = None
+    dims: tuple[int, int] = (2, 2)
     m: int = 2
     trials: int = 100
     seed: int = 0
@@ -61,7 +61,7 @@ class ExperimentConfig:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.dim is not None and self.dim < 2:
             raise ValueError("dim must be >= 2")
-        if self.dims is not None and min(self.dims) < 2:
+        if min(self.dims) < 2:
             raise ValueError("each of dims must be >= 2")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
@@ -229,9 +229,8 @@ def run_product(config: ExperimentConfig) -> RunResult:
     Also checks the weaker single-marginal bound
     S(rho_A || sigma_A) <= S(rho_AB || sigma_AB) (marginal).
     """
-    dims = config.dims if config.dims is not None else (2, 2)
+    dims, n = config.dims, config.trials
     d = dims[0] * dims[1]
-    n = config.trials
     rho = random_densities(config.seed, d, 2 * np.arange(n))
     sigma = random_densities(config.seed, d, 2 * np.arange(n) + 1)
     s_full = relative_entropy(rho, sigma).tolist()
@@ -277,8 +276,7 @@ def run_stein(config: ExperimentConfig) -> RunResult:
     series = stein_rate_series(STEIN_RHO, STEIN_SIGMA, config.epsilon,
                                config.n_max)
     rel = series.rel_entropy
-    rows = [(n, prob, rate, rel,
-             math.inf if math.isinf(rate) else abs(rate - rel))
+    rows = [(n, prob, rate, rel, abs(rate - rel))
             for n, prob, rate in series.rows]
     # hard invariant: the rate approaches the relative entropy
     first_gap = abs(series.rows[0][2] - rel)
@@ -389,22 +387,17 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return run(config)
 
 
-def _fmt(x: float) -> str:
-    """Decimal formatting with an 'inf' sentinel (never a float inf)."""
-    return "inf" if math.isinf(x) else repr(float(x))
-
-
 def csv_lines(result: RunResult, timestamp: bool = True) -> list[str]:
     """CSV report; first line is a timestamp comment, excluded from
-    determinism comparisons.  Floats go through _fmt, everything else str."""
+    determinism comparisons.  Every field is its str: a float its repr,
+    infinity inf."""
     lines = []
     if timestamp:
         now = datetime.datetime.now(datetime.timezone.utc).isoformat()
         lines.append(f"# generated {now}")
     lines.append(",".join(result.columns))
     for row in result.rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x)
-                              for x in row))
+        lines.append(",".join(map(str, row)))
     return lines
 
 

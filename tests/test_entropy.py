@@ -104,8 +104,9 @@ class TestStackedRelativeEntropy:
             relative_entropy(np.stack([rho, neg]), np.stack([rho, rho]))
         with pytest.raises(ValueError, match="non-PSD"):
             relative_entropy(neg, rho)
-        # the kernel leak is decided first: rho has weight on the
-        # eigenvector of sigma's negative eigenvalue
-        assert math.isinf(relative_entropy(rho, neg))
-        out = relative_entropy(np.stack([rho, rho]), np.stack([neg, rho]))
-        assert math.isinf(out[0]) and out[1] == relative_entropy(rho, rho)
+        # a non-PSD sigma is refused before the kernel leak is read, though
+        # rho has weight on the eigenvector of its negative eigenvalue
+        with pytest.raises(ValueError, match="non-PSD sigma"):
+            relative_entropy(rho, neg)
+        with pytest.raises(ValueError, match="non-PSD sigma"):
+            relative_entropy(np.stack([rho, rho]), np.stack([neg, rho]))

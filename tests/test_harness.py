@@ -1,4 +1,5 @@
 import importlib.util
+import operator
 import shlex
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ from golden.record import CONFIGS
 from macrolab.cli import build_parser, config_from_args, main
 from macrolab.coarsegrain import canonical_coarse_grain
 from macrolab.entropy import relative_entropy
-from macrolab.harness import (EXPERIMENTS, ExperimentConfig, csv_lines,
-                              run_experiment, summary, write_csv)
+from macrolab.harness import (EXPERIMENTS, ExperimentConfig, RunResult,
+                              _check, csv_lines, run_experiment, summary,
+                              write_csv)
 from macrolab.maxent import ObservableSet, fit_maxent
 from macrolab.operators import random_density, random_observables
 
@@ -99,6 +101,13 @@ class TestSweeps:
         dims = {row[result.columns.index("dim")] for row in result.rows}
         assert dims == {2, 3, 4}
 
+    @pytest.mark.parametrize("name", ["process", "monotonicity", "lindblad"])
+    def test_dim_is_read(self, name):
+        result = run_experiment(ExperimentConfig(
+            experiment=name, trials=6, seed=13, dim=3))
+        col = result.columns.index("dim")
+        assert result.rows and {row[col] for row in result.rows} == {3}
+
     def test_monotonicity_equal_states(self):
         obs = seeded_set(3, 3, 2)
         rho = random_density(3, 3)
@@ -115,6 +124,8 @@ class TestSweeps:
         result = run_experiment(ExperimentConfig(
             experiment="product", trials=20, seed=9, dims=(2, 3)))
         assert checks(result)["slack"].passed
+        col = result.columns.index("dim")
+        assert [row[col] for row in result.rows] == [6] * 20
 
     def test_lindblad(self):
         result = run_experiment(ExperimentConfig(
@@ -170,6 +181,12 @@ class TestChecks:
     def test_failing_run_exits_1(self, capsys):
         assert main(["product", "--trials", "746", "--seed", "0"]) == 1
         assert main(["product", "--trials", "745", "--seed", "0"]) == 0
+
+    def test_worst_value_is_the_one_nearest_to_failing(self):
+        # an upper bound's worst value is its largest, a lower bound's its
+        # smallest
+        assert _check("x", operator.lt, [(1, 5), (3, 5)]).value == 3
+        assert _check("x", operator.ge, [(1, 0), (3, 0)]).value == 1
 
     def test_kg_checks_are_named(self):
         result = run_experiment(ExperimentConfig(
@@ -259,6 +276,20 @@ class TestCLI:
         assert "usage: macrolab" in err and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # epsilon_choices refuses this seed's gamma_N, whatever --trials
+        (["kg-checks", "--seed", "53", "--trials", "5"],
+         "gamma must lie in [0, 1)"),
+        # the type classes refuse a prob below the float range at n 1913
+        (["stein", "--n-max", "2000"], "prob below the float range"),
+    ], ids=["kg-checks-seed-53", "stein-n-max-2000"])
+    def test_run_that_raises_exits_3(self, capsys, argv, message):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"macrolab: {argv[0]}: ") and message in err
+        assert "Traceback" not in err
+
     def test_sweeps_script_flags_are_read(self):
         # the script CI runs, the goldens and the acceptance gate share one
         # set of settings
@@ -296,3 +327,14 @@ class TestCLI:
         assert "rows: 5" in text
         assert "pass fraction: 1.0000" in text
         assert "redraws: 0" in text
+
+    @pytest.mark.parametrize("redraws, rows, flagged", [
+        (0, 20, False), (1, 21, False), (1, 20, True), (3, 20, True)])
+    def test_summary_flags_a_redraw_rate_of_5_percent(self, redraws, rows,
+                                                      flagged):
+        result = RunResult(ExperimentConfig(experiment="process"),
+                           ("trial",), [(t,) for t in range(rows)],
+                           [_check("slack", operator.ge, [(0.0, -1e-9)])],
+                           redraws)
+        assert ("WARNING: redraw rate >= 5%; run flagged"
+                in summary(result)) == flagged

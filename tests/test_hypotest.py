@@ -355,6 +355,34 @@ class TestSchurWeylBlocks:
                            match=r"no feasible test at either end.*t in \["):
             hypotest._np_search(blocks, 0.1)
 
+    @pytest.mark.parametrize("p, q", [(0.6, 0.45), (0.9, 0.5), (0.3, 0.7),
+                                      (0.02, 0.01)])
+    def test_eps_at_either_extreme(self, p, q):
+        # the rho mass a test misses of eps is eps less the mass taken at
+        # eps <= 1/2, and the mass left less 1 - eps above: the complement
+        # alone reads up to 9.1e-4 relative off at eps 1e-12 (the type
+        # classes 1.8e-3), and eps less the mass taken alone 5.4e-9 at
+        # 1 - 1e-12 (the type classes 2.4e-7)
+        rho, sigma = diag_pair(p, q)
+        for n in (1, 5, 12):
+            for eps in (1e-12, 1e-9, 1 - 1e-9, 1 - 1e-12):
+                expected = type_class_oracle(p, q, n, eps)
+                assert rel_err(prob_eps_tensor(rho, sigma, eps, n),
+                               expected) <= 1e-10
+                assert rel_err(block_search(rho, sigma, eps, n)[0],
+                               expected) <= 1e-10
+
+    def test_leaking_pair_starts_at_one(self):
+        # rho leaks into sigma's kernel, so n S(rho||sigma) is inf and the
+        # Stein threshold exp(n inf) no start: the search starts at t = 1
+        u = random_unitary(5, 2)
+        rho = u @ np.diag([0.7, 0.3]) @ u.conj().T
+        for n, prob in ((2, 0.4927), (3, 0.0680)):
+            dense = np_optimal_test(tensor_power(rho, n),
+                                    tensor_power(KET0, n), 0.9).prob
+            assert abs(prob_eps_tensor(rho, KET0, 0.9, n) - dense) <= 1e-13
+            assert abs(dense - prob) < 5e-5
+
     def test_eps_one_full_rank(self):
         # power 1 needs the identity test; the threshold is 1e-10, far below 1
         rho = np.diag([0.005, 0.995]).astype(complex)
@@ -690,6 +718,11 @@ class TestTypeClasses:
         # 5912, whose ulp is 9.1e-13; the N = 1000 point reads 9.2e-12
         assert rel_err(prob_eps_tensor(D91, sigma, 0.5, n),
                        mp_qubit_type_classes(0.9, q, n, 0.5)) <= 1e-10
+
+    def test_eps_met_in_sigma_kernel(self):
+        # every class taken has sigma mass 0, so the log prob is -inf
+        for n in (1, 4):
+            assert prob_eps_tensor(UNIF, KET0, 0.3, n) == 0.0
 
     def test_prob_below_float_range_raises(self):
         # prob falls like exp(-1.76 N): 1.1e-307 at N = 400, subnormal at 402

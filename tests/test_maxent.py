@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import macrolab.maxent as maxent
 from macrolab.maxent import (InfeasibleTargetError, ObservableSet,
                              canonical_from_lambda, covariance, fit_maxent,
                              state_derivatives)
@@ -197,6 +198,29 @@ class TestFit:
             assert np.max(np.abs(fitted.lam - lam)) < 1e-7
             count += 1
         assert count == 100
+
+    def test_line_search_halves_a_step(self, monkeypatch):
+        # a full Newton step raises the dual on this target, so the fit
+        # halves it (twice) before it converges to lambda ~ (44.18, 20.48);
+        # a line search that gave up after one try would report a stall
+        calls = {"forward": 0, "newton": 0}
+        forward, newton = maxent._forward, maxent._newton_step
+
+        def counted(key, fn):
+            def call(*args):
+                calls[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(maxent, "_forward", counted("forward", forward))
+        monkeypatch.setattr(maxent, "_newton_step", counted("newton", newton))
+        target = [0.4668700342055778, 0.21526602461454125]
+        cs = fit_maxent(seeded_set(3, 3, 2, index=1592), target)
+        np.testing.assert_allclose(cs.f, target, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(cs.lam, [44.18, 20.48], atol=0.01)
+        # one forward map at lambda = 0 and one per Newton step; the rest
+        # are the tries after a halving
+        assert calls["forward"] - 1 - calls["newton"] >= 1
 
 
 class TestDualConvexity:
