@@ -3,12 +3,14 @@
 Each experiment draws everything it needs from per-trial RNG streams derived
 from (seed, trial index), so results are identical regardless of execution
 order.  The four sweeps draw and compute on stacks: trials are grouped by
-dimension, each group's inputs come from one stacked draw per draw type
-(still one RNG stream per trial index), each group is fitted and compared by
-a few stacked calls of maxent.fit_stack and relative_entropy instead of one
-call per trial, and rows come out in trial order.  A stacked result is
-bit-identical to the result computed alone, so a run of T trials gives the
-first T rows of any longer run.  A run is one shape for every experiment:
+dimension, each group's inputs come from stacked draws (still one RNG
+stream per trial index), each group is fitted and compared by a few
+stacked calls of maxent.fit_stack and relative_entropy instead of one call
+per trial, and rows come out in trial order.  process and monotonicity
+coarse-grain by one step (_coarse_grain_pairs) and skip a trial where a
+fit fails, counting it as a redraw.  A stacked result is bit-identical to
+the result computed alone, so a run of T trials gives the rows with trial
+< T of any longer run.  A run is one shape for every experiment:
 named columns, rows of raw values, and named hard checks.  The four sweeps
 share the columns trial, dim, m, S_before, S_after, slack, pass; stein and
 kg-checks have their own.  Each check reports the worst value over the run,
@@ -29,8 +31,7 @@ from .coarsegrain import (epsilon_choices, gamma_n, kg_apply_observable,
                           positivity_diagnostic, product_coarse_grain)
 from .entropy import relative_entropy
 from .hypotest import stein_rate_series
-from .maxent import (InfeasibleTargetError, ObservableSet, expectations,
-                     fit_stack)
+from .maxent import ObservableSet, expectations, fit_stack
 from .operators import (apply_channels, dagger, partial_trace,
                         random_densities, random_density, random_kraus_sets,
                         random_observable_sets, random_observables,
@@ -132,74 +133,52 @@ def _dim_groups(config: ExperimentConfig) -> list[tuple[int, np.ndarray]]:
             for start, d in enumerate((2, 3, 4)) if start < config.trials]
 
 
-def _feasible_fits(g: np.ndarray, seed: int,
-                   offset: int) -> tuple[np.ndarray, dict, int]:
-    """Draw a state per trial, measure it on the trial's members g[t], fit:
-    feasible by construction.
-
-    Trial t draws at index t * 1000 + offset + k, k = 0 first.  The rare
-    near-extremal fit failure is redrawn with the next k, refitting only the
-    failing trials, up to k = 19.  Returns the fitted states, the error of
-    each trial whose every draw failed, and the number of redraws.
-    """
-    d = g.shape[-1]
-    mu = np.empty((len(g), d, d), dtype=complex)
-    todo, redraws = np.arange(len(g)), 0
-    for k in range(20):
-        fit = fit_stack(g[todo], expectations(
-            g[todo], random_densities(seed, d, todo * 1000 + offset + k)))
-        mu[todo] = fit.mu
-        todo = todo[~fit.ok]
-        redraws += todo.size
-        if not todo.size:
-            break
-    lost = {int(t): InfeasibleTargetError(
-        f"could not draw a feasible target in trial {t}") for t in todo}
-    return mu, lost, redraws
+def _coarse_grain_pairs(g: np.ndarray, pairs: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical coarse graining of both states of every trial t, pairs[:, t],
+    onto that trial's observables g[t], by one fit_stack call.  Returns the
+    fitted states, shaped like pairs, and the mask of the trials where both
+    fits converged; a failed fit holds its last iterate."""
+    g2 = np.concatenate([g, g])
+    fit = fit_stack(g2, expectations(g2, pairs.reshape(-1, *pairs.shape[2:])))
+    return fit.mu.reshape(pairs.shape), fit.ok.reshape(2, -1).all(axis=0)
 
 
 def run_process(config: ExperimentConfig) -> RunResult:
     """Reproducible-process sweep: two preparations, one shared unitary.
 
-    Checks that relative entropy between the two final macrostates does not
-    exceed that between the initial ones (slack), and the same for the
-    uniform reference state (second_law).  Trial by trial, the fits run in
-    the order mu_g, mu_gp, mu_f, mu_fp, and the first failure that is not
-    redrawn raises.
+    Trial t draws its preparation observables g at index 100 t, its final
+    observables f at 100 t + 1, its unitary u at t and its two states at
+    1000 t and 1000 t + 100.  The states are prepared by coarse graining on
+    g, evolved by u and coarse-grained on f.  Checks that relative entropy
+    between the two final macrostates does not exceed that between the
+    prepared ones (slack), and the same for the uniform reference state
+    (second_law).  A trial where any of its fits fails is skipped and
+    counted as a redraw.
     """
     seed, n, m = config.seed, config.trials, config.m
     d = config.dim if config.dim is not None else 4
-    g = random_observable_sets(seed, d, m, [t * 100 for t in range(n)])
-    # mu_g (draw offset 0), then mu_gp (offset 100)
-    prepared, failures, redraws = [], [], 0
-    for pos, offset in enumerate((0, 100)):
-        mu, lost, r = _feasible_fits(g, seed, offset)
-        prepared.append(mu)
-        failures += [(t, pos, err) for t, err in lost.items()]
-        redraws += r
-    kept = sorted(set(range(n)) - {t for t, _, _ in failures})
-    u = random_unitaries(seed, d, kept)
-    f = random_observable_sets(seed, d, m, [t * 100 + 1 for t in kept])
-    # mu_f, then mu_fp
-    final = []
-    for pos, mu in enumerate(prepared, 2):
-        fit = fit_stack(f, expectations(f, u @ mu[kept] @ dagger(u)))
-        final.append(fit.mu)
-        failures += [(kept[i], pos, err) for i, err in enumerate(fit.errors)
-                     if err is not None]
-    if failures:
-        raise min(failures, key=lambda x: x[:2])[2]
-    (mu_g, mu_gp), (mu_f, mu_fp) = prepared, final
+    ts = np.arange(n)
+    g = random_observable_sets(seed, d, m, 100 * ts)
+    f = random_observable_sets(seed, d, m, 100 * ts + 1)
+    u = random_unitaries(seed, d, ts)
+    states = random_densities(seed, d, np.concatenate(
+        [1000 * ts, 1000 * ts + 100])).reshape(2, n, d, d)
+    prepared, ok_g = _coarse_grain_pairs(g, states)
+    final, ok_f = _coarse_grain_pairs(f, u @ prepared @ dagger(u))
+    ok = ok_g & ok_f
+    (mu_g, mu_gp), (mu_f, mu_fp) = prepared[:, ok], final[:, ok]
     uniform = np.broadcast_to(np.eye(d) / d, mu_g.shape)
     second_law = [(a - b, -SLACK_TOL) for a, b in zip(
         relative_entropy(mu_g, uniform).tolist(),
         relative_entropy(mu_f, uniform).tolist())]
-    trials = list(zip(range(n), [d] * n, [m] * n,
+    kept = ts[ok].tolist()
+    trials = list(zip(kept, [d] * len(kept), [m] * len(kept),
                       relative_entropy(mu_g, mu_gp).tolist(),
                       relative_entropy(mu_f, mu_fp).tolist()))
     return _sweep_result(config, trials,
                          (_check("second_law", operator.ge, second_law),),
-                         redraws)
+                         n - len(kept))
 
 
 def run_monotonicity(config: ExperimentConfig) -> RunResult:
@@ -209,17 +188,14 @@ def run_monotonicity(config: ExperimentConfig) -> RunResult:
     for d, ts in _dim_groups(config):
         m = min(config.m, d * d - 1)
         g = random_observable_sets(seed, d, m, ts)
-        g = np.concatenate([g, g])
-        rho = random_densities(seed, d, 2 * ts)
-        sigma = random_densities(seed, d, 2 * ts + 1)
-        fit = fit_stack(g, expectations(g, np.concatenate([rho, sigma])))
-        ok = np.logical_and(*np.split(fit.ok, 2))
+        states = np.stack([random_densities(seed, d, 2 * ts),
+                           random_densities(seed, d, 2 * ts + 1)])
+        coarse, ok = _coarse_grain_pairs(g, states)
         redraws += int(np.sum(~ok))
-        cg_rho, cg_sigma = np.split(fit.mu, 2)
         kept = ts[ok].tolist()
         trials += zip(kept, [d] * len(kept), [m] * len(kept),
-                      relative_entropy(rho[ok], sigma[ok]).tolist(),
-                      relative_entropy(cg_rho[ok], cg_sigma[ok]).tolist())
+                      relative_entropy(*states[:, ok]).tolist(),
+                      relative_entropy(*coarse[:, ok]).tolist())
     return _sweep_result(config, sorted(trials), redraws=redraws)
 
 

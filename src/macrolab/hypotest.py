@@ -29,7 +29,9 @@ most d-1 rows are built, one box at a time: pi_nu(rho) = C^T (pi_mu(rho)
 operator, does not depend on rho and is cached per dimension.  Blocks have
 size of order N^(d(d-1)/2) (at most N+1 for qubits), so N is not bounded by
 DIM_CAP.  Sigma's blocks are products of s, so its support is decided on
-one copy.
+one copy.  A product that underflows to 0 reads as kernel, so a prob below
+the smallest normal float that sigma's one-copy kernel does not account
+for raises RuntimeError.
 
 A commuting pair needs neither blocks nor eigensolves.  When every
 off-diagonal entry of r is exactly 0, as for two diagonal inputs, the n
@@ -38,7 +40,7 @@ likelihood ratio and one cumulative sum of rho's masses.  A commuting pair
 given in another basis keeps rounding off r's diagonal and takes the
 blocks.  Prob is summed in logs; below the smallest normal float
 (ln prob < -708.4) the type classes raise RuntimeError rather than return a
-subnormal with few correct digits.
+subnormal with few correct digits, as the blocks do.
 
 The search is scale-invariant.  It starts at t0, which an N-copy point sets
 to the Stein threshold exp(N D), D = S(rho||sigma), and 1 where that is not
@@ -446,7 +448,9 @@ def _schur_weyl_blocks(r: np.ndarray, s: np.ndarray, n: int,
     leaves sigma alone, makes r real, so every block is real.
     """
     d = r.shape[0]
-    tower = _TOWERS.setdefault(d, _IrrepTower(d))
+    if d not in _TOWERS:
+        _TOWERS[d] = _IrrepTower(d)
+    tower = _TOWERS[d]
     tower.grow(n)
     if d == 2:
         off = abs(r[0, 1])
@@ -558,8 +562,16 @@ def _n_copy_prob(r: np.ndarray, s: np.ndarray, rel: float, n: int,
     if not np.any(r[~np.eye(len(r), dtype=bool)]):
         return _type_class_prob(np.diag(r).real, s, n, eps)
     t0 = math.exp(n * rel) if n * rel < _LOG_FLOAT_MAX else 1.0
-    return _np_search(_schur_weyl_blocks(r, s, n, images), eps,
+    prob = _np_search(_schur_weyl_blocks(r, s, n, images), eps,
                       max(t0, 1.0))[0]
+    # a block entry of sigma that underflows reads as kernel; a prob below
+    # the float range stands only where sigma's one-copy kernel meets eps
+    in_kernel = 1 - (1 - float(np.diag(r).real[s == 0].sum())) ** n
+    if prob < sys.float_info.min and in_kernel < eps:
+        raise RuntimeError(f"prob below the float range at n {n}, eps "
+                           f"{eps!r}: rho's mass in sigma's kernel "
+                           f"{in_kernel:.3g}, prob {prob!r}")
+    return prob
 
 
 def prob_eps_tensor(rho: np.ndarray, sigma: np.ndarray, eps: float,

@@ -63,7 +63,7 @@ def check_hermitian(a: np.ndarray) -> None:
 def in_support(w: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalues above LOG_SUPPORT_RTOL relative to the largest
     one, along the last axis of ascending spectra; the rest is kernel."""
-    return w > LOG_SUPPORT_RTOL * np.maximum(w[..., -1:], 0.0)
+    return w > LOG_SUPPORT_RTOL * w[..., -1:]
 
 
 def eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,5 @@
 """Stacked execution: a result does not depend on the stack it was computed
-in, and the sweeps' redraw and failure paths match a per-trial loop."""
+in, and the sweeps skip a trial whose fit fails as a per-trial loop does."""
 
 import numpy as np
 import pytest
@@ -99,28 +99,26 @@ class TestMixedStack:
 
 
 def process_per_trial(config):
-    """The process sweep written as the per-trial loop: rows and redraws."""
+    """The process sweep written as the per-trial loop: rows, and the number
+    of trials skipped because one of their fits failed."""
     seed, m, d = config.seed, config.m, config.dim or 4
-    rows, redraws = [], 0
+    rows, skipped = [], 0
     for trial in range(config.trials):
         g_obs = seeded_set(seed, d, m, index=trial * 100)
         f_obs = seeded_set(seed, d, m, index=trial * 100 + 1)
-        prepared = []
-        for offset in (0, 100):
-            for k in range(20):
-                rho = harness.random_densities(
-                    seed, d, [trial * 1000 + offset + k])[0]
-                try:
-                    prepared.append(canonical_coarse_grain(rho, g_obs).mu)
-                    break
-                except InfeasibleTargetError:
-                    redraws += 1
         u = harness.random_unitaries(seed, d, [trial])[0]
-        final = [canonical_coarse_grain(u @ mu @ u.conj().T, f_obs).mu
-                 for mu in prepared]
+        try:
+            prepared = [canonical_coarse_grain(harness.random_densities(
+                seed, d, [trial * 1000 + offset])[0], g_obs).mu
+                for offset in (0, 100)]
+            final = [canonical_coarse_grain(u @ mu @ u.conj().T, f_obs).mu
+                     for mu in prepared]
+        except InfeasibleTargetError:
+            skipped += 1
+            continue
         rows.append((trial, d, m, relative_entropy(*prepared),
                      relative_entropy(*final)))
-    return rows, redraws
+    return rows, skipped
 
 
 def swap_draws(monkeypatch, name, bad_draw):
@@ -151,41 +149,45 @@ def infeasible_draws(monkeypatch, seed, m, bad):
     swap_draws(monkeypatch, "random_densities", draw)
 
 
+def infeasible_unitaries(monkeypatch, trials):
+    """Make the unitary of each trial in trials 10 * 1, which scales that
+    trial's evolved states out of the feasible set of its final fits."""
+    swap_draws(monkeypatch, "random_unitaries",
+               lambda s, d, index: 10 * np.eye(d) if index in trials else None)
+
+
 class TestRedraws:
-    def test_process_redraws_only_the_failing_draws(self, monkeypatch):
+    @pytest.mark.parametrize("inject, failed", [
+        # mu_g of trial 3 and mu_gp of trial 5
+        (lambda mp: infeasible_draws(mp, 5, 2, {3000, 5100}), (3, 5)),
+        (lambda mp: infeasible_unitaries(mp, (2, 5)), (2, 5)),
+    ], ids=["preparation", "unitary"])
+    def test_process_skips_a_trial_whose_fit_fails(self, monkeypatch,
+                                                   inject, failed):
         config = ExperimentConfig(experiment="process", trials=7, seed=5,
                                   m=2)
         clean = run_experiment(config)
         assert clean.redraws == 0
-        # first draw of mu_g in trial 3, first two of mu_gp in trial 5
-        infeasible_draws(monkeypatch, 5, 2, {3000, 5100, 5101})
+        inject(monkeypatch)
         result = run_experiment(config)
-        rows, redraws = process_per_trial(config)
-        assert result.redraws == redraws == 3
+        rows, skipped = process_per_trial(config)
+        assert result.redraws == skipped == 2
         assert bits(r[:5] for r in result.rows) == bits(rows)
-        changed = [r[0] for r, c in zip(result.rows, clean.rows) if r != c]
-        assert changed == [3, 5]
+        assert [r[0] for r in result.rows] == [
+            t for t in range(7) if t not in failed]
+        assert bits(result.rows) == bits(
+            r for r in clean.rows if r[0] not in failed)
 
-    def test_process_raises_when_every_draw_fails(self, monkeypatch):
-        infeasible_draws(monkeypatch, 5, 2, {4100 + k for k in range(20)})
-        with pytest.raises(InfeasibleTargetError, match="trial 4"):
-            run_experiment(ExperimentConfig(experiment="process", trials=7,
-                                            seed=5, m=2))
+    def test_process_fits_in_two_stacked_calls(self, monkeypatch):
+        sizes = []
 
-    def test_process_post_unitary_failure_raises_lowest_trial(
-            self, monkeypatch):
-        # a "unitary" 10 * 1 scales the evolved states out of the feasible
-        # set in trials 2 and 5; the per-trial loop stops at trial 2
-        def unitary(s, d, index):
-            return 10 * np.eye(d) if index in (2, 5) else None
-        swap_draws(monkeypatch, "random_unitaries", unitary)
-        config = ExperimentConfig(experiment="process", trials=7, seed=5,
-                                  m=2)
-        with pytest.raises(InfeasibleTargetError) as loop:
-            process_per_trial(config)
-        with pytest.raises(InfeasibleTargetError) as stacked:
-            run_experiment(config)
-        assert str(stacked.value) == str(loop.value)
+        def counted(members, targets):
+            sizes.append(len(targets))
+            return fit_stack(members, targets)
+        monkeypatch.setattr(harness, "fit_stack", counted)
+        run_experiment(ExperimentConfig(experiment="process", trials=7,
+                                        seed=5, m=2))
+        assert sizes == [14, 14]
 
     def test_monotonicity_skips_a_trial_whose_fit_fails(self, monkeypatch):
         config = ExperimentConfig(experiment="monotonicity", trials=7,

@@ -49,6 +49,9 @@ class TestRelativeEntropy:
         rho = np.diag([1.0, 0.0]).astype(complex)
         sigma = np.diag([0.0, 1.0]).astype(complex)
         assert math.isinf(relative_entropy(rho, sigma))
+        # a leak of 1e-6 into sigma's kernel is a support violation as well
+        leak = np.diag([1 - 1e-6, 1e-6]).astype(complex)
+        assert math.isinf(relative_entropy(leak, rho))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))

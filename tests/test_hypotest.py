@@ -537,6 +537,18 @@ class TestGeneralSchurWeylBlocks:
         prob = prob_eps_tensor(np.eye(3) / 3, sigma, 0.02, 3)
         assert rel_err(prob, 0.02 * 27 * 1e-15) <= 1e-9
 
+    def test_sigma_block_below_float_range_raises(self):
+        # (1e-11)^30 underflows to 0 in sigma's block, where 68.7 % of
+        # rho's mass sits: read as sigma's kernel, it would give prob 0
+        c, s = math.cos(0.05), math.sin(0.05)
+        rot = np.array([[c, -s], [s, c]])
+        rho = (rot @ np.diag([0.01, 0.99]) @ rot.T).astype(complex)
+        sigma = np.diag([1 - 1e-11, 1e-11]).astype(complex)
+        with pytest.raises(RuntimeError, match="float range at n 30"):
+            prob_eps_tensor(rho, sigma, 0.5, 30)
+        with pytest.raises(RuntimeError, match="float range at n 30"):
+            stein_rate_series(rho, sigma, 0.5, 30)
+
 
 class TestSearchSteps:
     """The steps that close the threshold bracket, each kind against an

@@ -168,8 +168,14 @@ class TestFit:
         assert abs(cs.lam[0] - 0.5493061443340549) < 1e-8
 
     def test_infeasible_target(self):
-        with pytest.raises(InfeasibleTargetError):
+        with pytest.raises(InfeasibleTargetError, match="diverged"):
             fit_maxent(qubit_z(), [1.5])
+
+    def test_fit_still_live_after_the_cap_stalls(self, monkeypatch):
+        monkeypatch.setattr(maxent, "FIT_MAX_ITER", 2)
+        with pytest.raises(InfeasibleTargetError,
+                           match="stalled .* after 2 iterations"):
+            fit_maxent(ObservableSet(2, (SZ, SX)), [0.6, 0.3])
 
     def test_boundary_target_reports_extremal(self):
         cs = fit_maxent(qubit_z(), [1.0])
@@ -200,27 +206,33 @@ class TestFit:
         assert count == 100
 
     def test_line_search_halves_a_step(self, monkeypatch):
-        # a full Newton step raises the dual on this target, so the fit
-        # halves it (twice) before it converges to lambda ~ (44.18, 20.48);
-        # a line search that gave up after one try would report a stall
-        calls = {"forward": 0, "newton": 0}
-        forward, newton = maxent._forward, maxent._newton_step
-
-        def counted(key, fn):
-            def call(*args):
-                calls[key] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(maxent, "_forward", counted("forward", forward))
-        monkeypatch.setattr(maxent, "_newton_step", counted("newton", newton))
+        # a target whose fit runs to lambda ~ (44.18, 20.48)
         target = [0.4668700342055778, 0.21526602461454125]
         cs = fit_maxent(seeded_set(3, 3, 2, index=1592), target)
         np.testing.assert_allclose(cs.f, target, rtol=0, atol=1e-9)
         np.testing.assert_allclose(cs.lam, [44.18, 20.48], atol=0.01)
+        # a first Newton step made 8x too long raises the dual, so the fit
+        # halves it twice before it converges; a line search that gave up
+        # after one try would report a stall
+        calls = {"forward": 0, "newton": 0}
+        forward, newton = maxent._forward, maxent._newton_step
+
+        def counted_forward(*args):
+            calls["forward"] += 1
+            return forward(*args)
+
+        def long_first_step(*args):
+            calls["newton"] += 1
+            step = newton(*args)
+            return 8 * step if calls["newton"] == 1 else step
+
+        monkeypatch.setattr(maxent, "_forward", counted_forward)
+        monkeypatch.setattr(maxent, "_newton_step", long_first_step)
+        cs = fit_maxent(ObservableSet(2, (SZ, SX)), [0.6, 0.3])
+        np.testing.assert_allclose(cs.f, [0.6, 0.3], rtol=0, atol=1e-9)
         # one forward map at lambda = 0 and one per Newton step; the rest
         # are the tries after a halving
-        assert calls["forward"] - 1 - calls["newton"] >= 1
+        assert calls["forward"] - 1 - calls["newton"] == 2
 
 
 class TestDualConvexity:
@@ -264,6 +276,12 @@ class TestStateDerivatives:
     def test_qubit_closed_form(self):
         derivs = state_derivatives(canonical_from_lambda(qubit_z(), [0.0]))
         np.testing.assert_allclose(derivs[0], SZ / 2, atol=1e-10)
+
+    def test_ill_conditioned_covariance_raises(self):
+        # covariance condition about 1.3e12 at lambda = (16, 0)
+        cs = canonical_from_lambda(ObservableSet(2, (SZ, SX)), [16, 0])
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            state_derivatives(cs)
 
     def test_traceless_and_dual(self):
         obs = seeded_set(15, 3, 2)
